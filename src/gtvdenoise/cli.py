@@ -189,6 +189,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     diag_path = args.diagnostics or (args.output + ".diag")
     diagnostics.save(diag_path)
     _write_echo(Path(args.output + ".config"), params, extra)
+    if "windows" in diagnostics.meta:
+        log.info("solved in %d windows (%d over window_budget), %.2f solves per point",
+                 diagnostics.meta["windows"], diagnostics.meta["windows_oversized"],
+                 diagnostics.meta["window_points"] / cloud.n)
     skipped = diagnostics.meta.get("no_support_pair_events", 0)
     if skipped:
         log.warning("%d node passes had no valid support pair and kept their "

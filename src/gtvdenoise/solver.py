@@ -31,7 +31,7 @@ from scipy.sparse import csr_matrix, identity
 from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
 from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
-from .graph import WeightedGraph, build_knn_graph
+from .graph import SpatialIndex, WeightedGraph, build_knn_graph
 from .normals import (
     DEFAULT_COLLINEARITY_TOL,
     NormalField,
@@ -323,7 +323,7 @@ def _m_update_from_z(z, u, m_init, rho, gamma, weights, t, prox_tol, prox_max_it
         m_next = soft_threshold(m + t * rho * (c - m), tau)
         if not np.all(np.isfinite(m_next)):
             bad = int(np.flatnonzero(~np.isfinite(m_next))[0]) // 3
-            raise FloatingPointError(f"non-finite m-step value at edge index {bad}")
+            raise AdmmDivergenceError(f"non-finite m-step value at edge index {bad}")
         delta = float(np.max(np.abs(m_next - m))) if m.size else 0.0
         m = m_next
         if delta <= prox_tol:
@@ -391,7 +391,7 @@ def _admm_with_operator(
         gtv = float(w3 @ np.abs(z))
         objective = float(np.sum((q - p) ** 2)) + params.gamma * gtv
         if not np.isfinite(objective):
-            raise FloatingPointError(f"{label}: objective became non-finite")
+            raise AdmmDivergenceError(f"{label}: objective became non-finite")
         if collector is not None:
             collector.rows.append(
                 (label, iteration, residual, objective, gtv, time.perf_counter() - t0)
@@ -470,7 +470,7 @@ def denoise(
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
     t0 = time.perf_counter()
     if cloud.n > params.window_budget:
-        out = _denoise_windowed(cloud.positions, cloud.positions, params, diag)
+        out = _denoise_windowed(cloud.positions, params, diag)
     else:
         out = _denoise_core(cloud.positions, params, diag, label_prefix="")
     diag.meta["seconds_total"] = round(time.perf_counter() - t0, 6)
@@ -512,64 +512,77 @@ def _denoise_core(
 
 
 def _denoise_windowed(
-    positions: np.ndarray, q_obs: np.ndarray, params: DenoiseParams, diag: DiagnosticsReport
+    q_obs: np.ndarray, params: DenoiseParams, diag: DiagnosticsReport
 ) -> np.ndarray:
-    """Solve over a uniform grid of cells, each with a one-cell halo.
+    """Solve in windows: median-split cores, each with a k-NN-hop halo.
 
-    Every point is solved in the window whose core cell owns it; halo
+    Every point is placed by the one window whose core holds it; halo
     points only provide boundary context. Window layout is a deterministic
-    function of the input bounding box.
+    function of the input positions.
     """
-    n = positions.shape[0]
-    lo = positions.min(axis=0)
-    extent = positions.max(axis=0) - lo
-    h = float(extent.max())
-    if h == 0.0:
-        raise DegenerateCloudError("all points coincide; cannot denoise")
-
-    cells: dict[tuple[int, int, int], np.ndarray] = {}
-    for _ in range(16):
-        ids = np.floor((positions - lo) / h).astype(np.int64)
-        grouped: dict[tuple[int, int, int], list[int]] = {}
-        for pos_idx in range(n):
-            grouped.setdefault(tuple(ids[pos_idx]), []).append(pos_idx)
-        cells = {key: np.array(val, dtype=np.int64) for key, val in grouped.items()}
-        worst = max(
-            sum(
-                cells.get((cx + dx, cy + dy, cz + dz), np.array([], dtype=np.int64)).size
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-            )
-            for (cx, cy, cz) in cells
-        )
-        if worst <= params.window_budget:
-            break
-        h /= 2.0
-    else:
+    windows = _window_layout(q_obs, params)
+    oversized = sum(members.size > params.window_budget for _, members in windows)
+    if oversized:
         warnings.warn(
-            "could not split the cloud into windows within budget; "
-            "solving oversized windows",
+            f"{oversized} of {len(windows)} windows exceed window_budget="
+            f"{params.window_budget}; solving oversized windows",
             stacklevel=2,
         )
-
-    diag.meta["windows"] = len(cells)
-    out = positions.copy()
-    for w_idx, key in enumerate(sorted(cells)):
-        cx, cy, cz = key
-        member_ids = np.concatenate(
-            [
-                cells.get((cx + dx, cy + dy, cz + dz), np.array([], dtype=np.int64))
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-            ]
-        )
-        member_ids = np.sort(member_ids)
-        core_ids = cells[key]
+    diag.meta["windows"] = len(windows)
+    diag.meta["window_points"] = int(sum(members.size for _, members in windows))
+    diag.meta["windows_oversized"] = oversized
+    out = q_obs.copy()
+    for w_idx, (core_ids, member_ids) in enumerate(windows):
         if member_ids.size < 4:
             diag.meta["window_skips"] = diag.meta.get("window_skips", 0) + 1
             continue  # too small to denoise; core keeps observed positions
         solved = _denoise_core(
             q_obs[member_ids], params, diag, label_prefix=f"w{w_idx}:"
         )
-        local_of = {int(g): t for t, g in enumerate(member_ids)}
-        core_local = np.array([local_of[int(g)] for g in core_ids], dtype=np.int64)
-        out[core_ids] = solved[core_local]
+        out[core_ids] = solved[np.searchsorted(member_ids, core_ids)]
     return out
+
+
+def _window_layout(
+    q_obs: np.ndarray, params: DenoiseParams
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(core, members) index pairs of the windows, both ascending.
+
+    Starting from the whole cloud, a core is split at the median of its
+    bounding box's longest axis while its window, the core plus every point
+    within view_hops + 1 hops of it in the cloud's k-NN graph, exceeds
+    window_budget. Those hops cover the bipartition's local view and the
+    support-pair hop of every core point. A core whose halo alone reaches
+    the budget is not split further, since its children's windows would be
+    mostly halo; such windows are solved oversized.
+    """
+    n = q_obs.shape[0]
+    if np.all(q_obs == q_obs[0]):
+        raise DegenerateCloudError("all points coincide; cannot denoise")
+    k = min(params.k, n - 1)
+    nbrs = SpatialIndex(q_obs).query_knn(q_obs, k, exclude_self=True)
+    knn = csr_matrix((np.ones(n * k), (np.repeat(np.arange(n), k), nbrs.ravel())),
+                     shape=(n, n))
+    adjacency = knn + knn.T  # the union-symmetrized graph of build_knn_graph
+
+    windows: list[tuple[np.ndarray, np.ndarray]] = []
+    stack = [np.arange(n)]
+    while stack:
+        core = stack.pop()
+        reach = np.zeros(n, dtype=bool)
+        reach[core] = True
+        for _ in range(params.view_hops + 1):
+            reach |= (adjacency @ reach).astype(bool)
+        members = np.flatnonzero(reach)
+        if (members.size > params.window_budget and core.size > 1
+                and members.size - core.size < params.window_budget):
+            pts = q_obs[core]
+            axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+            order = np.argsort(pts[:, axis], kind="stable")
+            half = core.size // 2
+            # right half pushed first, so windows come out left to right
+            stack.append(np.sort(core[order[half:]]))
+            stack.append(np.sort(core[order[:half]]))
+            continue
+        windows.append((core, members))
+    return windows

@@ -1,9 +1,12 @@
 """Command line interface: subcommands, config precedence, exit codes."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from gtvdenoise.cli import (
+    EXIT_CONVERGENCE,
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
@@ -138,6 +141,20 @@ class TestDenoiseCommand:
         assert code == EXIT_OK
         assert diag.read_text().startswith("# denoise diagnostics")
 
+    def test_windowed_run_logs_window_count_and_redundancy(self, plane_file, tmp_path,
+                                                           caplog):
+        caplog.set_level(logging.INFO, logger="gtvdenoise")
+        code = main(["denoise", str(plane_file), str(tmp_path / "w.xyz"),
+                     "--window-budget", "50", "--outer-max-iter", "1",
+                     "--admm-max-iter", "20", "--collinearity-tol", "0.05"])
+        assert code == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if "windows" in r.getMessage()]
+        assert len(lines) == 1
+        meta = (tmp_path / "w.xyz.diag").read_text()
+        windows = int(meta.split("\nwindows: ")[1].split("\n")[0])
+        assert lines[0].startswith(f"solved in {windows} windows")
+        assert "solves per point" in lines[0]
+
     def test_too_few_points_degenerate_exit(self, tmp_path):
         path = tmp_path / "tiny.xyz"
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")
@@ -230,6 +247,20 @@ class TestExitCodes:
         bad.write_text("1 2 3\nnot numbers here\n")
         code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
         assert code == EXIT_PARSE
+
+    def test_solver_divergence_exits_with_one_error_line(self, tmp_path, caplog):
+        # A prox step t above 2/rho makes the m-step iterates overflow.
+        rng = np.random.default_rng(0)
+        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij")
+        pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(144)])
+        path = tmp_path / "plane12.xyz"
+        save_cloud(PointCloud(pts + 0.05 * rng.standard_normal(pts.shape)), str(path))
+        with pytest.warns(UserWarning), np.errstate(all="ignore"):
+            code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz"),
+                         "--t", "0.5"])
+        assert code == EXIT_CONVERGENCE
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "non-finite" in errors[0].getMessage()
 
     def test_bad_config_usage(self, plane_file, tmp_path):
         cfg = tmp_path / "c.cfg"
