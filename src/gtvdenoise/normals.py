@@ -9,7 +9,8 @@ That cross product is affine in p_i:
 
 where skew(v) is the matrix with skew(v) @ x == v x x. Dividing by the
 norm at a chosen linearization point gives n_i ~ A p_i + b. Signs are
-made globally consistent with a minimum spanning tree walk.
+made globally consistent with a minimum spanning tree walk. A class's
+models are kept as stacked arrays (see affine_normals).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearityError, NoSupportPairError
+from .errors import NoSupportPairError
 from .graph import SpatialIndex, WeightedGraph
 
 DEFAULT_COLLINEARITY_TOL = 1e-8
@@ -38,44 +39,45 @@ class SupportPair:
             raise ValueError(f"support pair nodes must be distinct, got {self}")
 
 
-@dataclass(frozen=True, eq=False)
-class NormalLinearization:
-    """Affine normal model n(p) = A p + b frozen at one linearization point.
-
-    C, d are the exact cross-product coefficients; A = alpha * C / r and
-    b = alpha * d / r with r = ||C p_in + d|| at the linearization point,
-    so ||A p_in + b|| = 1 there.
-    """
-
-    C: np.ndarray
-    d: np.ndarray
-    alpha: int
-    A: np.ndarray
-    b: np.ndarray
-    norm_in: float
-
-
 @dataclass(eq=False)
 class NormalField:
-    """Oriented normals plus linearizations for a set of nodes."""
+    """Oriented normals plus their affine models n(p) = A p + b for a set of nodes.
 
-    ids: np.ndarray              # global node indices, ascending
-    normals: np.ndarray          # (n, 3) oriented unit normals at the linearization point
-    lins: list[NormalLinearization]
+    Row t belongs to node ids[t]; A and b are frozen at the node's position
+    when the field was estimated, where ||A p + b|| = 1.
+    """
+
+    ids: np.ndarray              # (m,) global node indices, ascending
+    normals: np.ndarray          # (m, 3) oriented unit normals at the linearization point
+    A: np.ndarray                # (m, 3, 3)
+    b: np.ndarray                # (m, 3)
+    alpha: np.ndarray            # (m,) orientation signs, +1 or -1
     pairs: list[SupportPair]
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    """Matrix S with S @ x == v x x."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+def affine_normals(p_i: np.ndarray, p_k: np.ndarray, p_l: np.ndarray):
+    """Affine normal models of support triples, one per row of p_i, p_k, p_l.
 
-
-def cross_coefficients(p_k: np.ndarray, p_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, d) with C p + d == (p - p_k) x (p_k - p_l) for every p."""
-    p_k = np.asarray(p_k, dtype=np.float64)
-    p_l = np.asarray(p_l, dtype=np.float64)
-    return skew(p_l - p_k), np.cross(p_k, p_l)
+    Returns (n, C, d, A, b), each with a leading axis over the triples:
+    C p + d == (p - p_k) x (p_k - p_l) for every p, with C = skew(p_l - p_k)
+    and d = p_k x p_l; r = ||C p_i + d||; n = (C p_i + d) / r is the unit
+    normal at p_i; A = C / r and b = d / r, so ||A p_i + b|| = 1. Sign the
+    model of row t by multiplying n[t], A[t] and b[t] by the same +1 or -1.
+    """
+    p_i, p_k, p_l = (np.asarray(x, dtype=np.float64) for x in (p_i, p_k, p_l))
+    v = p_l - p_k
+    C = np.zeros((v.shape[0], 3, 3))
+    C[:, 0, 1] = -v[:, 2]
+    C[:, 0, 2] = v[:, 1]
+    C[:, 1, 0] = v[:, 2]
+    C[:, 1, 2] = -v[:, 0]
+    C[:, 2, 0] = -v[:, 1]
+    C[:, 2, 1] = v[:, 0]
+    d = np.cross(p_k, p_l)
+    vec = np.einsum("nij,nj->ni", C, p_i) + d
+    norms = np.linalg.norm(vec, axis=1)
+    scale = 1.0 / norms
+    return vec / norms[:, None], C, d, scale[:, None, None] * C, scale[:, None] * d
 
 
 def _is_valid_triple(p_i, p_k, p_l, tol: float) -> bool:
@@ -83,24 +85,6 @@ def _is_valid_triple(p_i, p_k, p_l, tol: float) -> bool:
     return float(np.linalg.norm(cross)) > tol * float(
         np.linalg.norm(p_i - p_k) * np.linalg.norm(p_k - p_l)
     )
-
-
-def raw_normal(p_i, p_k, p_l, tol: float = DEFAULT_COLLINEARITY_TOL):
-    """Unit normal of the triple plus its affine coefficients.
-
-    Returns (n, C, d, norm) with n = (C p_i + d) / norm. Raises
-    CollinearityError when the triple is collinear within tol (relative
-    to the two segment lengths).
-    """
-    p_i = np.asarray(p_i, dtype=np.float64)
-    C, d = cross_coefficients(p_k, p_l)
-    vec = C @ p_i + d
-    norm = float(np.linalg.norm(vec))
-    if norm <= tol * float(np.linalg.norm(p_i - p_k) * np.linalg.norm(np.asarray(p_k) - np.asarray(p_l))):
-        raise CollinearityError(
-            f"support triple is collinear (cross norm {norm:.3e})"
-        )
-    return vec / norm, C, d, norm
 
 
 def select_support_pair(
@@ -127,19 +111,6 @@ def select_support_pair(
             if _is_valid_triple(p_i, candidate_positions[a], candidate_positions[b], tol):
                 return SupportPair(node, int(candidate_ids[a]), int(candidate_ids[b]))
     raise NoSupportPairError(node)
-
-
-def linearize(p_in: np.ndarray, C: np.ndarray, d: np.ndarray, alpha: int,
-              tol: float = 0.0) -> NormalLinearization:
-    """Freeze the affine normal model at p_in: A = alpha C / r, b = alpha d / r."""
-    if alpha not in (-1, 1):
-        raise ValueError(f"alpha must be +1 or -1, got {alpha}")
-    vec = C @ np.asarray(p_in, dtype=np.float64) + d
-    norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm) or norm <= tol or norm == 0.0:
-        raise CollinearityError(f"degenerate normal magnitude {norm:.3e} at linearization point")
-    scale = alpha / norm
-    return NormalLinearization(C=C, d=d, alpha=alpha, A=scale * C, b=scale * d, norm_in=norm)
 
 
 def orient_normals(positions: np.ndarray, normals: np.ndarray, k: int) -> np.ndarray:
@@ -290,39 +261,19 @@ def estimate_normal_field(
             ok_ids.append(i)
 
     if not ok_ids:
-        return NormalField(np.array([], dtype=np.int64), np.zeros((0, 3)), [], []), failed
+        empty = np.zeros((0, 3))
+        return NormalField(np.array([], dtype=np.int64), empty, np.zeros((0, 3, 3)),
+                           empty, np.zeros(0, dtype=np.int8), []), failed
 
     ids_arr = np.array(ok_ids, dtype=np.int64)
-    pk = positions[[p.k for p in pairs]]
-    pl = positions[[p.l for p in pairs]]
     pi = positions[ids_arr]
-    # Batched affine coefficients: C = skew(pl - pk), d = pk x pl.
-    b_vec = pl - pk
-    m = ids_arr.size
-    C = np.zeros((m, 3, 3))
-    C[:, 0, 1] = -b_vec[:, 2]
-    C[:, 0, 2] = b_vec[:, 1]
-    C[:, 1, 0] = b_vec[:, 2]
-    C[:, 1, 2] = -b_vec[:, 0]
-    C[:, 2, 0] = -b_vec[:, 1]
-    C[:, 2, 1] = b_vec[:, 0]
-    d = np.cross(pk, pl)
-    vec = np.einsum("nij,nj->ni", C, pi) + d
-    norms = np.linalg.norm(vec, axis=1)
-    raw = vec / norms[:, None]
-
+    raw, _, _, A, b = affine_normals(
+        pi, positions[[p.k for p in pairs]], positions[[p.l for p in pairs]]
+    )
     alphas = orient_normals(pi, raw, k)
-    lins = []
-    for t in range(m):
-        scale = alphas[t] / norms[t]
-        lins.append(
-            NormalLinearization(
-                C=C[t], d=d[t], alpha=int(alphas[t]),
-                A=scale * C[t], b=scale * d[t], norm_in=float(norms[t]),
-            )
-        )
-    oriented = raw * alphas[:, None]
-    return NormalField(ids_arr, oriented, lins, pairs), failed
+    A *= alphas[:, None, None]
+    b *= alphas[:, None]
+    return NormalField(ids_arr, raw * alphas[:, None], A, b, alphas, pairs), failed
 
 
 def normal_field_lines(field: NormalField):
@@ -330,4 +281,4 @@ def normal_field_lines(field: NormalField):
     for t, i in enumerate(field.ids):
         nx, ny, nz = field.normals[t]
         p = field.pairs[t]
-        yield f"{i} {nx:.17g} {ny:.17g} {nz:.17g} {field.lins[t].alpha:+d} {p.k} {p.l}"
+        yield f"{i} {nx:.17g} {ny:.17g} {nz:.17g} {field.alpha[t]:+d} {p.k} {p.l}"

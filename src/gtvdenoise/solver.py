@@ -32,12 +32,7 @@ from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
 from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
 from .graph import SpatialIndex, WeightedGraph, build_knn_graph
-from .normals import (
-    DEFAULT_COLLINEARITY_TOL,
-    NormalField,
-    NormalLinearization,
-    estimate_normal_field,
-)
+from .normals import DEFAULT_COLLINEARITY_TOL, estimate_normal_field
 
 
 @dataclass
@@ -168,27 +163,29 @@ class DiagnosticsReport:
 
 
 def assemble_edge_operator(
-    class_graph: WeightedGraph, lins: list[NormalLinearization | None]
+    class_graph: WeightedGraph, A: np.ndarray, b: np.ndarray
 ) -> EdgeOperator:
-    """Stack per-edge blocks [A_i, -A_j] into sparse B and b_i - b_j into v."""
+    """Stack per-edge blocks [A_i, -A_j] into sparse B and b_i - b_j into v.
+
+    A (n, 3, 3) and b (n, 3) hold the normal models of the n graph nodes; a
+    node whose row of A or b is not finite has no model.
+    """
     n = class_graph.node_count
-    if len(lins) != n:
-        raise ValueError(f"{len(lins)} linearizations for {n} nodes")
-    for i, lin in enumerate(lins):
-        if lin is None:
-            raise MissingLinearizationError(i)
+    if A.shape != (n, 3, 3) or b.shape != (n, 3):
+        raise ValueError(f"normal models of shapes {A.shape}, {b.shape} for {n} nodes")
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        raise MissingLinearizationError(int(np.flatnonzero(~finite)[0]))
     e = class_graph.edge_count
     if e == 0:
         return EdgeOperator(
             csr_matrix((0, 3 * n)), np.zeros(0), class_graph.ei, class_graph.ej, n
         )
-    a_all = np.stack([lin.A for lin in lins])        # (n, 3, 3)
-    b_all = np.stack([lin.b for lin in lins])        # (n, 3)
     ei, ej = class_graph.ei, class_graph.ej
 
     blocks = np.empty((2 * e, 3, 3))
-    blocks[0::2] = a_all[ei]
-    blocks[1::2] = -a_all[ej]
+    blocks[0::2] = A[ei]
+    blocks[1::2] = -A[ej]
     # Row index of block r of edge e is 3e + r; columns span the endpoint.
     rows = (3 * np.repeat(np.arange(e), 2)[:, None, None]
             + np.arange(3)[None, :, None]
@@ -199,7 +196,7 @@ def assemble_edge_operator(
     B = csr_matrix(
         (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * e, 3 * n)
     )
-    v = (b_all[ei] - b_all[ej]).ravel()
+    v = (b[ei] - b[ej]).ravel()
     return EdgeOperator(B, v, ei, ej, n)
 
 
@@ -339,7 +336,8 @@ def u_update(u, B, v, p, m):
 def admm_denoise_partite(
     q: np.ndarray,
     class_graph: WeightedGraph,
-    lins: list[NormalLinearization],
+    A: np.ndarray,
+    b: np.ndarray,
     params: DenoiseParams,
     label: str = "admm",
     collector: DiagnosticsReport | None = None,
@@ -347,9 +345,10 @@ def admm_denoise_partite(
     """Run ADMM for one node class; returns optimized stacked positions.
 
     q is the observed (noisy) stacked position vector of the class, which
-    also initializes p. With gamma = 0 the solve returns q unchanged.
+    also initializes p; A and b are the nodes' normal models (see
+    assemble_edge_operator). With gamma = 0 the solve returns q unchanged.
     """
-    op = assemble_edge_operator(class_graph, list(lins))
+    op = assemble_edge_operator(class_graph, A, b)
     return _admm_with_operator(q, op, class_graph.w, params, label, collector)
 
 
@@ -443,7 +442,7 @@ def _class_pass(
                                     np.array([], dtype=np.int64), np.array([]))
     q_sub = q_obs[active].ravel()
     p_new = admm_denoise_partite(
-        q_sub, class_graph, field_.lins, params, label=label, collector=diag
+        q_sub, class_graph, field_.A, field_.b, params, label=label, collector=diag
     )
     p_cur[active] = p_new.reshape(-1, 3)
     return len(failed)

@@ -30,7 +30,7 @@ from gtvdenoise.bipartite import RED, approximate_bipartite, induced_bipartite_g
 from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
 from gtvdenoise.graph import WeightedGraph, build_knn_graph, laplacian
 from gtvdenoise.metrics import c2c, c2p
-from gtvdenoise.normals import cross_coefficients, estimate_normal_field
+from gtvdenoise.normals import affine_normals, estimate_normal_field
 from gtvdenoise.solver import (
     DenoiseParams,
     denoise,
@@ -210,21 +210,18 @@ def test_position_update_agrees_with_dense_solve_and_system_is_spd(verdict):
 
 def test_normal_linear_form_reproduces_cross_product(verdict):
     rng = np.random.default_rng(1)
-    worst = 0.0
-    count = 0
-    while count < 1000:
-        p_i, p_k, p_l = rng.normal(size=(3, 3))
-        direct = np.cross(p_i - p_k, p_k - p_l)
-        if np.linalg.norm(direct) <= 1e-3:
-            continue  # skip near-degenerate triples
-        C, d = cross_coefficients(p_k, p_l)
-        worst = max(worst, float(np.max(np.abs(C @ p_i + d - direct))))
-        count += 1
-    ok = worst <= 1e-12
+    p_i, p_k, p_l = rng.normal(size=(3, 2000, 3))
+    direct = np.cross(p_i - p_k, p_k - p_l)
+    keep = np.flatnonzero(np.linalg.norm(direct, axis=1) > 1e-3)[:1000]  # skip near-degenerate
+    p_i, p_k, p_l, direct = p_i[keep], p_k[keep], p_l[keep], direct[keep]
+    count = keep.size
+    _, C, d, _, _ = affine_normals(p_i, p_k, p_l)
+    worst = float(np.max(np.abs(np.einsum("nij,nj->ni", C, p_i) + d - direct)))
+    ok = worst <= 1e-12 and count == 1000
     assert verdict(
         ok,
         "affine normal form reproduces the cross product",
-        f"1000 random triples, worst |difference| {worst:.2e} <= 1e-12",
+        f"{count} random triples, worst |difference| {worst:.2e} <= 1e-12",
     )
 
 

@@ -4,70 +4,99 @@ import numpy as np
 import pytest
 
 from gtvdenoise.bipartite import RED, approximate_bipartite
-from gtvdenoise.errors import CollinearityError, NoSupportPairError
+from gtvdenoise.errors import NoSupportPairError
 from gtvdenoise.graph import build_knn_graph
 from gtvdenoise.normals import (
-    NormalLinearization,
     SupportPair,
-    cross_coefficients,
+    affine_normals,
     estimate_normal_field,
-    linearize,
     normal_field_lines,
     orient_normals,
-    raw_normal,
     select_support_pair,
-    skew,
 )
+
+
+def one_model(p_i, p_k, p_l):
+    """(n, C, d, A, b) of a single triple."""
+    return [x[0] for x in affine_normals([p_i], [p_k], [p_l])]
 
 
 class TestSkewAndCoefficients:
     def test_skew_reproduces_cross_product(self):
+        # C = skew(p_l - p_k) acts as a cross product with p_l - p_k
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v, x = rng.normal(size=(2, 3))
-            np.testing.assert_allclose(skew(v) @ x, np.cross(v, x), atol=1e-12)
+        p_k, p_l, x = rng.normal(size=(3, 50, 3))
+        _, C, *_ = affine_normals(rng.normal(size=(50, 3)), p_k, p_l)
+        np.testing.assert_allclose(
+            np.einsum("nij,nj->ni", C, x), np.cross(p_l - p_k, x), atol=1e-12
+        )
 
     def test_skew_antisymmetric(self):
-        S = skew(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(S, -S.T)
+        _, C, *_ = one_model([0, 1.0, 0], np.zeros(3), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(C, -C.T)
 
     def test_affine_identity_random_triples(self):
         # C p + d must equal the direct cross product everywhere, not just
-        # at one linearization point
+        # at the linearization point
         rng = np.random.default_rng(1)
-        for _ in range(1000):
-            p_i, p_k, p_l = rng.normal(size=(3, 3))
-            C, d = cross_coefficients(p_k, p_l)
-            direct = np.cross(p_i - p_k, p_k - p_l)
-            np.testing.assert_allclose(C @ p_i + d, direct, atol=1e-12)
+        p_in, p_i, p_k, p_l = rng.normal(size=(4, 1000, 3))
+        _, C, d, _, _ = affine_normals(p_in, p_k, p_l)
+        direct = np.cross(p_i - p_k, p_k - p_l)
+        np.testing.assert_allclose(np.einsum("nij,nj->ni", C, p_i) + d, direct, atol=1e-12)
 
 
 class TestRawNormal:
     def test_unit_length_and_perpendicular(self):
         rng = np.random.default_rng(2)
         p_i, p_k, p_l = rng.normal(size=(3, 3))
-        n, C, d, norm = raw_normal(p_i, p_k, p_l)
+        n, C, d, _, _ = one_model(p_i, p_k, p_l)
         assert np.linalg.norm(n) == pytest.approx(1.0)
         assert n @ (p_i - p_k) == pytest.approx(0.0, abs=1e-12)
         assert n @ (p_k - p_l) == pytest.approx(0.0, abs=1e-12)
-        assert norm > 0
+        assert np.linalg.norm(C @ p_i + d) > 0
 
     def test_known_triangle(self):
-        n, *_ = raw_normal([0, 0, 0.0], [1, 0, 0.0], [0, 1, 0.0])
+        n, *_ = one_model([0, 0, 0.0], [1, 0, 0.0], [0, 1, 0.0])
         np.testing.assert_allclose(np.abs(n), [0, 0, 1], atol=1e-12)
 
     def test_collinear_rejected(self):
-        with pytest.raises(CollinearityError):
-            raw_normal([0, 0, 0.0], [1, 0, 0.0], [2, 0, 0.0])
+        # a collinear triple has no normal: it is never chosen as support
+        with pytest.raises(NoSupportPairError):
+            select_support_pair(0, np.zeros(3), np.array([1, 2]),
+                                np.array([[1, 0, 0.0], [2, 0, 0.0]]))
 
     def test_near_collinear_tolerance(self):
         # bend of ~1e-6 rad: passes at tol 1e-8, rejected at tol 1e-3
-        p_i = [0.0, 0.0, 0.0]
-        p_k = [1.0, 1e-6, 0.0]
-        p_l = [2.0, 0.0, 0.0]
-        raw_normal(p_i, p_k, p_l, tol=1e-8)
-        with pytest.raises(CollinearityError):
-            raw_normal(p_i, p_k, p_l, tol=1e-3)
+        p_i = np.zeros(3)
+        ids = np.array([1, 2])
+        pos = np.array([[1.0, 1e-6, 0.0], [2.0, 0.0, 0.0]])
+        pair = select_support_pair(0, p_i, ids, pos, tol=1e-8)
+        assert (pair.k, pair.l) == (1, 2)
+        with pytest.raises(NoSupportPairError):
+            select_support_pair(0, p_i, ids, pos, tol=1e-3)
+
+
+class TestLinearize:
+    def test_unit_norm_at_linearization_point(self):
+        rng = np.random.default_rng(3)
+        p_i, p_k, p_l = rng.normal(size=(3, 3))
+        n, C, d, A, b = one_model(p_i, p_k, p_l)
+        np.testing.assert_allclose(A @ p_i + b, n, atol=1e-12)
+        assert np.linalg.norm(A @ p_i + b) == pytest.approx(1.0)
+        np.testing.assert_allclose(A * np.linalg.norm(C @ p_i + d), C, atol=1e-12)
+
+    def test_alpha_flips_sign(self):
+        # the field's models are the unsigned ones times the orientation sign
+        pos, graph, bp = TestEstimateNormalField()._plane_setup(seed=9)
+        pos[:, 2] = np.random.default_rng(9).normal(scale=0.1, size=pos.shape[0])
+        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
+        pk = pos[[p.k for p in field.pairs]]
+        pl = pos[[p.l for p in field.pairs]]
+        n, _, _, A, b = affine_normals(pos[field.ids], pk, pl)
+        assert set(np.unique(field.alpha)) == {-1, 1}
+        np.testing.assert_array_equal(field.A, field.alpha[:, None, None] * A)
+        np.testing.assert_array_equal(field.b, field.alpha[:, None] * b)
+        np.testing.assert_array_equal(field.normals, field.alpha[:, None] * n)
 
 
 class TestSupportPair:
@@ -93,36 +122,6 @@ class TestSupportPair:
     def test_too_few_candidates(self):
         with pytest.raises(NoSupportPairError):
             select_support_pair(0, np.zeros(3), np.array([4]), np.ones((1, 3)), 1e-8)
-
-
-class TestLinearize:
-    def test_unit_norm_at_linearization_point(self):
-        rng = np.random.default_rng(3)
-        p_i, p_k, p_l = rng.normal(size=(3, 3))
-        C, d = cross_coefficients(p_k, p_l)
-        lin = linearize(p_i, C, d, alpha=1)
-        assert np.linalg.norm(lin.A @ p_i + lin.b) == pytest.approx(1.0)
-        assert lin.norm_in == pytest.approx(np.linalg.norm(C @ p_i + d))
-
-    def test_alpha_flips_sign(self):
-        rng = np.random.default_rng(4)
-        p_i, p_k, p_l = rng.normal(size=(3, 3))
-        C, d = cross_coefficients(p_k, p_l)
-        plus = linearize(p_i, C, d, 1)
-        minus = linearize(p_i, C, d, -1)
-        np.testing.assert_allclose(plus.A, -minus.A)
-        np.testing.assert_allclose(plus.b, -minus.b)
-
-    def test_invalid_alpha(self):
-        C, d = cross_coefficients(np.array([1, 0, 0.0]), np.array([0, 1, 0.0]))
-        with pytest.raises(ValueError):
-            linearize(np.zeros(3), C, d, alpha=0)
-
-    def test_degenerate_point_rejected(self):
-        # p on the k-l line: zero cross product
-        C, d = cross_coefficients(np.array([1, 0, 0.0]), np.array([2, 0, 0.0]))
-        with pytest.raises(CollinearityError):
-            linearize(np.array([3.0, 0, 0]), C, d, 1)
 
 
 class TestOrientation:
@@ -191,11 +190,10 @@ class TestEstimateNormalField:
     def test_linearization_matches_normal(self):
         pos, graph, bp = self._plane_setup(seed=8)
         field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
-        for t, i in enumerate(field.ids):
-            lin = field.lins[t]
-            np.testing.assert_allclose(
-                lin.A @ pos[i] + lin.b, field.normals[t], atol=1e-12
-            )
+        np.testing.assert_allclose(
+            np.einsum("nij,nj->ni", field.A, pos[field.ids]) + field.b,
+            field.normals, atol=1e-12,
+        )
 
     def test_global_fallback_when_neighbors_degenerate(self):
         # red node whose only graph-adjacent blues are collinear with it;

@@ -9,7 +9,7 @@ from gtvdenoise.cloud import PointCloud, add_gaussian_noise, NoiseSpec
 from gtvdenoise.errors import DegenerateCloudError, MissingLinearizationError
 from gtvdenoise.graph import SpatialIndex, WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import c2p
-from gtvdenoise.normals import cross_coefficients, linearize
+from gtvdenoise.normals import affine_normals
 from gtvdenoise.synthetic import rounded_box
 from gtvdenoise.solver import (
     DenoiseParams,
@@ -29,17 +29,15 @@ from gtvdenoise.solver import (
 
 
 def random_linearizations(n, seed):
-    """Geometrically valid affine normal models at random points."""
+    """Normal models (A, b) of n geometrically valid random triples."""
     rng = np.random.default_rng(seed)
-    lins = []
-    for _ in range(n):
-        while True:
-            p_i, p_k, p_l = rng.normal(size=(3, 3))
-            C, d = cross_coefficients(p_k, p_l)
-            if np.linalg.norm(C @ p_i + d) > 1e-3:
-                break
-        lins.append(linearize(p_i, C, d, alpha=1))
-    return lins
+    triples = []
+    while len(triples) < n:
+        p_i, p_k, p_l = rng.normal(size=(3, 3))
+        if np.linalg.norm(np.cross(p_i - p_k, p_k - p_l)) > 1e-3:
+            triples.append((p_i, p_k, p_l))
+    _, _, _, A, b = affine_normals(*np.array(triples).transpose(1, 0, 2))
+    return A, b
 
 
 def random_instance(n_nodes, seed, gamma=0.05, rho=5.0):
@@ -47,7 +45,7 @@ def random_instance(n_nodes, seed, gamma=0.05, rho=5.0):
     rng = np.random.default_rng(seed)
     idx = np.arange(n_nodes - 1)
     graph = WeightedGraph(n_nodes, idx, idx + 1, rng.uniform(0.3, 1.0, n_nodes - 1))
-    op = assemble_edge_operator(graph, random_linearizations(n_nodes, seed + 1))
+    op = assemble_edge_operator(graph, *random_linearizations(n_nodes, seed + 1))
     q = rng.normal(size=3 * n_nodes)
     return graph, op, q
 
@@ -116,33 +114,34 @@ def test_edge_thresholds_repeat():
 class TestEdgeOperator:
     def test_matches_per_edge_differences(self):
         graph = WeightedGraph(4, [0, 1, 0], [1, 2, 3], [0.5, 0.5, 0.5])
-        lins = random_linearizations(4, seed=2)
-        op = assemble_edge_operator(graph, lins)
+        A, b = random_linearizations(4, seed=2)
+        op = assemble_edge_operator(graph, A, b)
         assert op.B.shape == (9, 12)
         p = np.random.default_rng(3).normal(size=12)
         got = op.B @ p + op.v
         pos = p.reshape(4, 3)
         for e, (i, j) in enumerate(zip(graph.ei, graph.ej)):
-            ni = lins[i].A @ pos[i] + lins[i].b
-            nj = lins[j].A @ pos[j] + lins[j].b
+            ni = A[i] @ pos[i] + b[i]
+            nj = A[j] @ pos[j] + b[j]
             np.testing.assert_allclose(got[3 * e : 3 * e + 3], ni - nj, atol=1e-12)
 
     def test_edgeless_graph(self):
         graph = WeightedGraph(3, [], [], [])
-        op = assemble_edge_operator(graph, random_linearizations(3, 4))
+        op = assemble_edge_operator(graph, *random_linearizations(3, 4))
         assert op.B.shape == (0, 9) and op.v.size == 0 and op.edge_count == 0
 
     def test_count_mismatch_rejected(self):
         graph = WeightedGraph(3, [0], [1], [0.5])
         with pytest.raises(ValueError):
-            assemble_edge_operator(graph, random_linearizations(2, 5))
+            assemble_edge_operator(graph, *random_linearizations(2, 5))
 
     def test_missing_linearization_rejected(self):
         graph = WeightedGraph(3, [0], [1], [0.5])
-        lins = random_linearizations(3, 6)
-        lins[1] = None
-        with pytest.raises(MissingLinearizationError):
-            assemble_edge_operator(graph, lins)
+        A, b = random_linearizations(3, 6)
+        b[1, 2] = np.nan
+        with pytest.raises(MissingLinearizationError) as info:
+            assemble_edge_operator(graph, A, b)
+        assert info.value.node == 1
 
 
 class TestPUpdate:
@@ -222,7 +221,7 @@ class TestMUpdate:
 
     def test_empty_edge_set(self):
         graph = WeightedGraph(3, [], [], [])
-        op = assemble_edge_operator(graph, random_linearizations(3, 10))
+        op = assemble_edge_operator(graph, *random_linearizations(3, 10))
         out = m_update(op.B, op.v, np.zeros(9), np.zeros(0), np.zeros(0), 5.0, 0.05,
                        graph.w, 0.1)
         assert out.size == 0
@@ -240,9 +239,9 @@ def test_u_update_formula():
 class TestAdmm:
     def test_gamma_zero_returns_q(self):
         graph, op, q = random_instance(8, 13)
-        lins = random_linearizations(8, 14)
+        A, b = random_linearizations(8, 14)
         params = DenoiseParams(gamma=0.0, admm_max_iter=50)
-        out = admm_denoise_partite(q, graph, lins, params)
+        out = admm_denoise_partite(q, graph, A, b, params)
         np.testing.assert_array_equal(out, q)
 
     def test_matches_convex_reference(self):
@@ -258,9 +257,9 @@ class TestAdmm:
             prox_tol=1e-12, prox_max_iter=1000,
             admm_tol=1e-10, admm_max_iter=6000,
         )
-        lins = random_linearizations(10, 16)
-        got = admm_denoise_partite(q, graph, lins, params)
-        op = assemble_edge_operator(graph, lins)
+        A, b = random_linearizations(10, 16)
+        got = admm_denoise_partite(q, graph, A, b, params)
+        op = assemble_edge_operator(graph, A, b)
         w3 = np.repeat(graph.w, 3)
 
         p_var = cp.Variable(q.size)
@@ -278,11 +277,11 @@ class TestAdmm:
 
     def test_residual_drops_below_initial(self):
         graph, op, q = random_instance(12, 17)
-        lins = random_linearizations(12, 18)
+        A, b = random_linearizations(12, 18)
         diag = DiagnosticsReport()
         params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500,
                                cg_tol=1e-10, prox_tol=1e-10)
-        admm_denoise_partite(q, graph, lins, params, label="x", collector=diag)
+        admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
         res = [row[2] for row in diag.rows_for("x")]
         assert len(res) >= 2
         assert res[-1] < res[0]
