@@ -19,7 +19,6 @@ from .cloud import (
 from .errors import (
     AdmmDivergenceError,
     CloudFormatError,
-    CollinearityError,
     ConfigError,
     DegenerateCloudError,
     GtvDenoiseError,
@@ -31,12 +30,10 @@ from .graph import SpatialIndex, WeightedGraph, build_knn_graph, edge_weight, la
 from .metrics import MetricReport, c2c, c2p, evaluate, gtv_value
 from .normals import (
     NormalField,
-    NormalLinearization,
     SupportPair,
+    affine_normals,
     estimate_normal_field,
-    linearize,
     orient_normals,
-    raw_normal,
     select_support_pair,
 )
 from .solver import (
@@ -46,10 +43,8 @@ from .solver import (
     admm_denoise_partite,
     assemble_edge_operator,
     denoise,
-    m_update,
     p_update,
     soft_threshold,
-    u_update,
 )
 
 __version__ = "0.1.0"
@@ -59,6 +54,7 @@ __all__ = [
     "approximate_bipartite",
     "add_gaussian_noise",
     "admm_denoise_partite",
+    "affine_normals",
     "assemble_edge_operator",
     "Bipartition",
     "BLUE",
@@ -66,7 +62,6 @@ __all__ = [
     "c2c",
     "c2p",
     "CloudFormatError",
-    "CollinearityError",
     "ConfigError",
     "DegenerateCloudError",
     "denoise",
@@ -81,19 +76,15 @@ __all__ = [
     "induced_bipartite_graph",
     "kld",
     "laplacian",
-    "linearize",
     "load_cloud",
     "MetricReport",
     "MissingLinearizationError",
-    "m_update",
     "NoiseSpec",
     "NormalField",
-    "NormalLinearization",
     "NoSupportPairError",
     "orient_normals",
     "PointCloud",
     "p_update",
-    "raw_normal",
     "RED",
     "rescale_unit_diagonal",
     "save_cloud",
@@ -102,7 +93,6 @@ __all__ = [
     "SpatialIndex",
     "SupportPair",
     "UsageError",
-    "u_update",
     "WeightedGraph",
     "__version__",
 ]

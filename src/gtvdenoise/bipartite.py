@@ -281,9 +281,3 @@ def bipartition_lines(bp: Bipartition):
     """Yield 'node class' debug lines."""
     for i, g in enumerate(bp.assignment):
         yield f"{i} {CLASS_NAMES[g]}"
-
-
-def export_bipartition(bp: Bipartition, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in bipartition_lines(bp):
-            fh.write(line + "\n")

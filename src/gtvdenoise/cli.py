@@ -20,7 +20,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import sys
 import time
@@ -32,7 +31,6 @@ from .cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_c
 from .errors import (
     AdmmDivergenceError,
     CloudFormatError,
-    CollinearityError,
     ConfigError,
     DegenerateCloudError,
     GtvDenoiseError,
@@ -197,6 +195,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     if skipped:
         log.warning("%d node passes had no valid support pair and kept their "
                     "positions", skipped)
+    at_cap = diagnostics.meta["passes_at_cap"]
+    if at_cap:
+        log.warning("%d passes stopped at admm_max_iter=%d with primal residual above "
+                    "admm_tol=%g", at_cap, params.admm_max_iter, params.admm_tol)
     finals = [diagnostics.rows_for(lbl)[-1][2] for lbl in diagnostics.pass_labels()]
     worst = max(finals) if finals else 0.0
     log.info("done: %d passes, worst final primal residual %.3e, %.2fs",
@@ -303,29 +305,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             jobs.append((model, sigma, run_params))
 
     rows, failures = [], []
-
-    def run(job):
-        model, sigma, run_params = job
-        return _bench_one(model, sigma, args.seed, run_params, out_dir)
-
-    if args.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = {pool.submit(run, job): job for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
-                model, sigma, _ = futures[fut]
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    log.error("model %s sigma %g failed: %s", model.name, sigma, exc)
-                    failures.append((model.name, sigma))
-    else:
-        for job in jobs:
-            model, sigma, _ = job
-            try:
-                rows.append(run(job))
-            except Exception as exc:
-                log.error("model %s sigma %g failed: %s", model.name, sigma, exc)
-                failures.append((model.name, sigma))
+    for model, sigma, run_params in jobs:
+        try:
+            rows.append(_bench_one(model, sigma, args.seed, run_params, out_dir))
+        except Exception as exc:
+            log.error("model %s sigma %g failed: %s", model.name, sigma, exc)
+            failures.append((model.name, sigma))
 
     rows.sort(key=lambda r: (r["model"], r["sigma"]))
     header = (f"{'model':<20} {'sigma':>6} {'c2c noisy':>12} {'c2c denoised':>13} "
@@ -434,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated noise levels (default 0.1)")
     p.add_argument("--seed", type=int, default=0, help="noise seed for all runs")
     p.add_argument("--output-dir", default="bench_out")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent model runs (default 1)")
     _add_param_flags(p)
     p.set_defaults(func=cmd_bench)
 
@@ -460,7 +443,7 @@ def main(argv=None) -> int:
     except AdmmDivergenceError as exc:
         log.error("%s", exc)
         return EXIT_CONVERGENCE
-    except (DegenerateCloudError, CollinearityError, NoSupportPairError) as exc:
+    except (DegenerateCloudError, NoSupportPairError) as exc:
         log.error("%s", exc)
         return EXIT_DEGENERATE
     except GtvDenoiseError as exc:

@@ -37,10 +37,6 @@ class DegenerateCloudError(GtvDenoiseError):
     """Cloud unusable for the requested operation (too few / coincident points)."""
 
 
-class CollinearityError(GtvDenoiseError):
-    """Support triple is (numerically) collinear; no normal direction exists."""
-
-
 class NoSupportPairError(GtvDenoiseError):
     """No valid support pair could be found for a node."""
 

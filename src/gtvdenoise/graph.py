@@ -249,9 +249,3 @@ def edge_list_lines(graph: WeightedGraph):
     """Yield 'i j w' debug lines in canonical order."""
     for a, b, wt in zip(graph.ei, graph.ej, graph.w):
         yield f"{a} {b} {wt:.17g}"
-
-
-def export_edge_list(graph: WeightedGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in edge_list_lines(graph):
-            fh.write(line + "\n")

@@ -10,8 +10,8 @@ of an edge (i, j) and v holds b_i - b_j, so m approximates the stacked
 normal differences n_i - n_j. The scaled-form ADMM splits are:
 
     p-step:  (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v)   (conjugate gradient)
-    m-step:  proximal gradient on rho/2 ||B p + v - m + u||^2
-             with per-component soft threshold t * gamma * w_ij
+    m-step:  m = soft(B p + v + u, gamma w_ij / rho)   (exact: m enters its
+             subproblem alone, so the l1 prox has this closed form)
     u-step:  u += B p + v - m
 
 Red and blue passes alternate; each pass re-estimates support pairs,
@@ -40,19 +40,18 @@ class DenoiseParams:
     """All tuning knobs of the denoiser with working defaults.
 
     gamma=0.1 tends to work better at noise sigma around 0.3; gamma=0.05
-    suits sigma around 0.05-0.1.
+    suits sigma around 0.05-0.1. rho is the ADMM penalty; the m-step is
+    exact, and cg_tol / cg_max_iter bound the only inexact step, the
+    position solve.
     """
 
     gamma: float = 0.05          # GTV regularization strength
     rho: float = 5.0             # ADMM penalty
-    t: float = 0.1               # proximal gradient step size
     sigma_p: float = 1.5         # Gaussian kernel bandwidth for edge weights
     k: int = 8                   # neighbors per node in k-NN graphs
     delta: float = 0.01          # GMRF regularization for the bipartition
     cg_tol: float = 1e-6
     cg_max_iter: int = 200
-    prox_tol: float = 1e-6
-    prox_max_iter: int = 100
     admm_tol: float = 1e-5
     admm_max_iter: int = 100
     outer_tol: float = 1e-4
@@ -66,26 +65,13 @@ class DenoiseParams:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        for name in ("rho", "t", "sigma_p", "delta", "cg_tol", "prox_tol",
-                     "admm_tol", "outer_tol"):
+        for name in ("rho", "sigma_p", "delta", "cg_tol", "admm_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("k", "cg_max_iter", "prox_max_iter", "admm_max_iter",
-                     "outer_max_iter", "window_budget"):
+        for name in ("k", "cg_max_iter", "admm_max_iter", "outer_max_iter",
+                     "window_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.t >= 2.0 / self.rho:
-            warnings.warn(
-                f"step size t={self.t} >= 2/rho={2.0 / self.rho}: "
-                "the m-step proximal gradient may not converge",
-                stacklevel=2,
-            )
-        elif self.t > 1.0 / self.rho:
-            warnings.warn(
-                f"step size t={self.t} > 1/rho={1.0 / self.rho}: "
-                "m-step convergence may be slow",
-                stacklevel=2,
-            )
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -289,48 +275,11 @@ def edge_thresholds(weights: np.ndarray, scale: float) -> np.ndarray:
     return np.repeat(scale * np.asarray(weights, dtype=np.float64), 3)
 
 
-def m_update(
-    B: csr_matrix,
-    v: np.ndarray,
-    p: np.ndarray,
-    u: np.ndarray,
-    m_init: np.ndarray,
-    rho: float,
-    gamma: float,
-    weights: np.ndarray,
-    t: float,
-    prox_tol: float = 1e-6,
-    prox_max_iter: int = 100,
-) -> np.ndarray:
-    """Proximal gradient for the m-step.
-
-    Gradient of the smooth part is -rho * (B p + v - m + u); each step
-    applies the soft threshold with per-component threshold t*gamma*w_ij.
-    The fixed point is the closed-form soft(B p + v + u, gamma w / rho).
-    """
-    z = B @ p + v
-    return _m_update_from_z(z, u, m_init, rho, gamma, weights, t, prox_tol, prox_max_iter)
-
-
-def _m_update_from_z(z, u, m_init, rho, gamma, weights, t, prox_tol, prox_max_iter):
-    c = z + u
-    tau = edge_thresholds(weights, t * gamma)
-    m = m_init.astype(np.float64, copy=True)
-    for _ in range(prox_max_iter):
-        m_next = soft_threshold(m + t * rho * (c - m), tau)
-        if not np.all(np.isfinite(m_next)):
-            bad = int(np.flatnonzero(~np.isfinite(m_next))[0]) // 3
-            raise AdmmDivergenceError(f"non-finite m-step value at edge index {bad}")
-        delta = float(np.max(np.abs(m_next - m))) if m.size else 0.0
-        m = m_next
-        if delta <= prox_tol:
-            break
-    return m
-
-
-def u_update(u, B, v, p, m):
-    """Scaled dual ascent: u + (B p + v - m)."""
-    return u + (B @ p + v - m)
+def _require_finite(stacked: np.ndarray, message: str) -> None:
+    """Raise AdmmDivergenceError naming the first 3-vector with a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(stacked))
+    if bad.size:
+        raise AdmmDivergenceError(f"{message} {bad[0] // 3}")
 
 
 def admm_denoise_partite(
@@ -366,6 +315,7 @@ def _admm_with_operator(
     m = B @ p + v
     u = np.zeros_like(m)
     w3 = np.repeat(weights, 3)
+    tau = edge_thresholds(weights, params.gamma / params.rho)
     # B is fixed for the whole solve: precompute B^T and the SPD system once.
     Bt = B.T.tocsr()
     system = (2.0 * identity(B.shape[1], format="csr", dtype=np.float64)
@@ -379,11 +329,10 @@ def _admm_with_operator(
             q, B, v, m, u, params.rho, params.cg_tol, params.cg_max_iter,
             p0=p, Bt=Bt, system=system,
         )
+        _require_finite(p, f"{label}: non-finite p-step value at node index")
         z = B @ p + v
-        m = _m_update_from_z(
-            z, u, m, params.rho, params.gamma, weights,
-            params.t, params.prox_tol, params.prox_max_iter,
-        )
+        m = soft_threshold(z + u, tau)
+        _require_finite(m, f"{label}: non-finite m-step value at edge index")
         u = u + (z - m)
 
         residual = float(np.linalg.norm(z - m)) / max(float(np.linalg.norm(m)), 1.0)
@@ -405,7 +354,7 @@ def _admm_with_operator(
                 raise AdmmDivergenceError(
                     f"{label}: primal residual {residual:.3e} stayed 10x above its "
                     f"initial value {first_residual:.3e} for {streak} iterations; "
-                    "try a smaller step size t or more inner iterations"
+                    "try a smaller cg_tol or a larger cg_max_iter"
                 )
         else:
             streak = 0
@@ -459,6 +408,13 @@ def denoise(
     outer_tol. Nodes without a valid support pair stay at their observed
     positions. Clouds larger than window_budget are solved in overlapping
     spatial windows.
+
+    The solve runs on centroid-centred coordinates, because the CG stopping
+    rule is relative to a right-hand side that grows with the distance from
+    the origin; the solved displacements are added back to the input, so
+    unmoved points keep their input coordinates exactly. The meta key
+    passes_at_cap counts passes that stopped at admm_max_iter with a primal
+    residual above admm_tol.
     """
     if params is None:
         params = DenoiseParams()
@@ -468,12 +424,18 @@ def denoise(
     diag.meta["points"] = cloud.n
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
     t0 = time.perf_counter()
+    centred = cloud.positions - cloud.positions.mean(axis=0)
     if cloud.n > params.window_budget:
-        out = _denoise_windowed(cloud.positions, params, diag)
+        solved = _denoise_windowed(centred, params, diag)
     else:
-        out = _denoise_core(cloud.positions, params, diag, label_prefix="")
+        solved = _denoise_core(centred, params, diag, label_prefix="")
     diag.meta["seconds_total"] = round(time.perf_counter() - t0, 6)
-    return PointCloud(out), diag
+    finals = {row[0]: row for row in diag.rows}  # the last row of each pass
+    diag.meta["passes_at_cap"] = sum(
+        it >= params.admm_max_iter and res > params.admm_tol
+        for _, it, res, *_ in finals.values()
+    )
+    return PointCloud(cloud.positions + (solved - centred)), diag
 
 
 def _denoise_core(

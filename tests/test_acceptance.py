@@ -31,28 +31,19 @@ from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_clo
 from gtvdenoise.graph import WeightedGraph, build_knn_graph, laplacian
 from gtvdenoise.metrics import c2c, c2p
 from gtvdenoise.normals import affine_normals, estimate_normal_field
-from gtvdenoise.solver import (
-    DenoiseParams,
-    denoise,
-    edge_thresholds,
-    m_update,
-    p_update,
-    soft_threshold,
-)
+from gtvdenoise.solver import DenoiseParams, denoise, edge_thresholds, p_update
 from gtvdenoise.synthetic import jittered_plane, sphere_with_spacing
 
 from test_bipartite import cycle_graph, grid_graph, path_graph, removed_intra_edges
-from test_solver import random_instance
+from test_solver import random_instance, random_linearizations, record_admm_steps
 
-# Tighter inner tolerances than the library defaults so the reported
-# primal residual reflects the splitting itself, not CG/prox inexactness.
+# A tighter CG tolerance than the library default so the reported primal
+# residual reflects the splitting itself, not an inexact position solve.
 SOLVER_KNOBS = dict(
     admm_max_iter=1500,
     admm_tol=1e-4,
     cg_tol=1e-8,
     cg_max_iter=500,
-    prox_tol=1e-8,
-    prox_max_iter=200,
     collinearity_tol=0.05,
 )
 
@@ -156,26 +147,32 @@ def test_flat_cloud_flattens_and_normals_realign(verdict, planar_run):
     )
 
 
-def test_prox_gradient_reaches_closed_form_shrinkage(verdict):
-    rho, gamma, t = 5.0, 0.05, 0.1
+def test_admm_m_step_satisfies_l1_optimality(verdict, monkeypatch):
+    # m minimizes gamma w |m| + rho/2 (c - m)^2 componentwise exactly when
+    # rho (c - m) is in gamma w d|m|: c - m = tau sign(m) where m != 0 and
+    # |c| <= tau where m == 0, with tau = gamma w / rho
+    rho, gamma = 5.0, 0.5
+    params = DenoiseParams(gamma=gamma, rho=rho, admm_max_iter=30, admm_tol=1e-9)
     worst = 0.0
+    steps = clamped = 0
+    thresholds_ok = True
     for seed in range(100):
-        graph, op, _ = random_instance(6, seed)
-        rng = np.random.default_rng(seed + 1000)
-        p = rng.normal(size=op.B.shape[1])
-        u = rng.normal(size=op.v.size)
-        m0 = rng.normal(size=op.v.size)
-        got = m_update(
-            op.B, op.v, p, u, m0, rho, gamma, graph.w, t,
-            prox_tol=1e-12, prox_max_iter=500,
-        )
-        closed = soft_threshold(op.B @ p + op.v + u, edge_thresholds(graph.w, gamma / rho))
-        worst = max(worst, float(np.max(np.abs(got - closed))))
-    ok = worst <= 1e-6
+        graph, _, q = random_instance(6, seed)
+        A, b = random_linearizations(6, seed + 1000)
+        _, _, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
+        for c, tau, m in m_steps:
+            thresholds_ok &= np.array_equal(tau, edge_thresholds(graph.w, gamma / rho))
+            zero = m == 0
+            violation = np.where(zero, np.abs(c) - tau, np.abs(c - m - tau * np.sign(m)))
+            worst = max(worst, float(np.max(violation, initial=0.0)))
+            clamped += int(zero.sum())
+            steps += 1
+    ok = thresholds_ok and worst <= 1e-12 and clamped > 0
     assert verdict(
         ok,
-        "prox gradient matches closed-form shrinkage",
-        f"100 instances, worst |difference| {worst:.2e} <= 1e-6",
+        "ADMM m-step satisfies the l1 optimality condition",
+        f"100 instances, {steps} m-steps ({clamped} components clamped to 0), "
+        f"thresholds gamma w / rho: {thresholds_ok}, worst violation {worst:.2e} <= 1e-12",
     )
 
 

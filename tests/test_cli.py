@@ -155,6 +155,29 @@ class TestDenoiseCommand:
         assert lines[0].startswith(f"solved in {windows} windows")
         assert "solves per point" in lines[0]
 
+    def test_passes_stopped_at_the_cap_are_counted_and_warned(self, plane_file,
+                                                              tmp_path, caplog):
+        noisy = tmp_path / "noisy.xyz"
+        main(["-q", "noise", str(plane_file), str(noisy), "--sigma", "0.05"])
+        caplog.set_level(logging.INFO, logger="gtvdenoise")
+        out = tmp_path / "capped.xyz"
+        code = main(["denoise", str(noisy), str(out), "--outer-max-iter", "1",
+                     "--admm-max-iter", "3", "--admm-tol", "1e-12",
+                     "--collinearity-tol", "0.05"])
+        assert code == EXIT_OK
+        diag = (tmp_path / "capped.xyz.diag").read_text()
+        assert "\npasses_at_cap: 2\n" in diag
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["2 passes stopped at admm_max_iter=3 with primal residual "
+                            "above admm_tol=1e-12"]
+
+        code = main(["denoise", str(noisy), str(out), "--outer-max-iter", "1",
+                     "--admm-max-iter", "3", "--admm-tol", "10",
+                     "--collinearity-tol", "0.05"])
+        assert code == EXIT_OK
+        assert "\npasses_at_cap: 0\n" in (tmp_path / "capped.xyz.diag").read_text()
+        assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+
     def test_too_few_points_degenerate_exit(self, tmp_path):
         path = tmp_path / "tiny.xyz"
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")
@@ -248,16 +271,24 @@ class TestExitCodes:
         code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
         assert code == EXIT_PARSE
 
-    def test_solver_divergence_exits_with_one_error_line(self, tmp_path, caplog):
-        # A prox step t above 2/rho makes the m-step iterates overflow.
+    def test_solver_divergence_exits_with_one_error_line(self, tmp_path, caplog,
+                                                         monkeypatch):
+        # A position step that overflows stops the solve before its m-step.
+        from gtvdenoise import solver
+
+        def overflowing_p_update(*args, **kwargs):
+            p, info = p_update(*args, **kwargs)
+            p[4] = np.inf
+            return p, info
+
+        p_update = solver.p_update
+        monkeypatch.setattr(solver, "p_update", overflowing_p_update)
         rng = np.random.default_rng(0)
         xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij")
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(144)])
         path = tmp_path / "plane12.xyz"
         save_cloud(PointCloud(pts + 0.05 * rng.standard_normal(pts.shape)), str(path))
-        with pytest.warns(UserWarning), np.errstate(all="ignore"):
-            code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz"),
-                         "--t", "0.5"])
+        code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz")])
         assert code == EXIT_CONVERGENCE
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and "non-finite" in errors[0].getMessage()

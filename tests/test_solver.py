@@ -1,4 +1,4 @@
-"""ADMM solver pieces: CG, prox steps, edge operator, full denoise."""
+"""ADMM solver pieces: CG, the m- and u-steps, edge operator, full denoise."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from gtvdenoise.errors import DegenerateCloudError, MissingLinearizationError
 from gtvdenoise.graph import SpatialIndex, WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import c2p
 from gtvdenoise.normals import affine_normals
-from gtvdenoise.synthetic import rounded_box
+from gtvdenoise.synthetic import rounded_box, sphere_with_spacing
 from gtvdenoise.solver import (
     DenoiseParams,
     DiagnosticsReport,
@@ -21,11 +21,10 @@ from gtvdenoise.solver import (
     assemble_edge_operator,
     denoise,
     edge_thresholds,
-    m_update,
     p_update,
     soft_threshold,
-    u_update,
 )
+from gtvdenoise import solver
 
 
 def random_linearizations(n, seed):
@@ -64,12 +63,6 @@ class TestDenoiseParams:
             DenoiseParams(k=0)
         with pytest.raises(ValueError):
             DenoiseParams(admm_max_iter=0)
-
-    def test_warns_on_large_step(self):
-        with pytest.warns(UserWarning, match="may not converge"):
-            DenoiseParams(rho=5.0, t=0.5)
-        with pytest.warns(UserWarning, match="slow"):
-            DenoiseParams(rho=5.0, t=0.3)
 
     def test_as_dict_roundtrip(self):
         p = DenoiseParams(gamma=0.1, admm_tol=1e-4)
@@ -200,40 +193,69 @@ def v_of(op):
     return op.v
 
 
+def record_admm_steps(monkeypatch, graph, A, b, q, params):
+    """Run one ADMM solve; return its p-step outputs and (c, tau, m) m-steps."""
+    p_steps, m_steps = [], []
+
+    def p_step(*args, **kwargs):
+        p, info = p_update(*args, **kwargs)
+        p_steps.append(p.copy())
+        return p, info
+
+    def m_step(c, tau):
+        m = soft_threshold(c, tau)
+        m_steps.append((np.array(c), np.array(tau), np.array(m)))
+        return m
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "p_update", p_step)
+        patch.setattr(solver, "soft_threshold", m_step)
+        out = admm_denoise_partite(q, graph, A, b, params)
+    return out, p_steps, m_steps
+
+
 class TestMUpdate:
-    def test_fixed_point_matches_closed_form(self):
-        # prox gradient iterates to soft(B p + v + u, gamma w / rho)
-        rho, gamma, t = 5.0, 0.05, 0.1
-        for seed in range(30):
-            graph, op, _ = random_instance(6, seed + 200)
-            rng = np.random.default_rng(seed + 300)
-            p = rng.normal(size=op.B.shape[1])
-            u = rng.normal(size=op.v.size)
-            m0 = rng.normal(size=op.v.size)
-            got = m_update(
-                op.B, op.v, p, u, m0, rho, gamma, graph.w, t,
-                prox_tol=1e-12, prox_max_iter=500,
-            )
-            closed = soft_threshold(
-                op.B @ p + op.v + u, edge_thresholds(graph.w, gamma / rho)
-            )
-            np.testing.assert_allclose(got, closed, atol=1e-6)
+    def test_fixed_point_matches_closed_form(self, monkeypatch):
+        # every m-step is soft(B p + v + u, gamma w / rho) at the new p
+        rho, gamma = 5.0, 0.5
+        params = DenoiseParams(gamma=gamma, rho=rho, admm_max_iter=20, admm_tol=1e-9)
+        for seed in range(10):
+            graph, _, q = random_instance(6, seed + 200)
+            A, b = random_linearizations(6, seed + 201)
+            op = assemble_edge_operator(graph, A, b)
+            _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
+            assert len(m_steps) == len(p_steps) >= 2
+            u = np.zeros(op.v.size)
+            for p, (c, tau, m) in zip(p_steps, m_steps):
+                z = op.B @ p + op.v
+                np.testing.assert_array_equal(tau, edge_thresholds(graph.w, gamma / rho))
+                np.testing.assert_allclose(c, z + u, atol=1e-12)
+                np.testing.assert_array_equal(m, soft_threshold(c, tau))
+                u = u + (z - m)
 
-    def test_empty_edge_set(self):
+    def test_empty_edge_set(self, monkeypatch):
         graph = WeightedGraph(3, [], [], [])
-        op = assemble_edge_operator(graph, *random_linearizations(3, 10))
-        out = m_update(op.B, op.v, np.zeros(9), np.zeros(0), np.zeros(0), 5.0, 0.05,
-                       graph.w, 0.1)
-        assert out.size == 0
+        A, b = random_linearizations(3, 10)
+        q = np.random.default_rng(10).normal(size=9)
+        out, _, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, DenoiseParams())
+        np.testing.assert_array_equal(out, q)
+        assert len(m_steps) == 1 and m_steps[0][2].size == 0
 
 
-def test_u_update_formula():
-    _, op, _ = random_instance(5, 11)
-    rng = np.random.default_rng(12)
-    p = rng.normal(size=op.B.shape[1])
-    u = rng.normal(size=op.v.size)
-    m = rng.normal(size=op.v.size)
-    np.testing.assert_allclose(u_update(u, op.B, op.v, p, m), u + op.B @ p + op.v - m)
+def test_u_update_formula(monkeypatch):
+    # scaled dual ascent: the m-step input is B p + v + u with
+    # u_k = u_{k-1} + (B p_{k-1} + v - m_{k-1}) and u_0 = 0
+    graph, _, q = random_instance(5, 11)
+    A, b = random_linearizations(5, 12)
+    op = assemble_edge_operator(graph, A, b)
+    params = DenoiseParams(gamma=0.2, admm_max_iter=15, admm_tol=1e-12)
+    _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
+    u = np.zeros(op.v.size)
+    for p, (c, _, m) in zip(p_steps, m_steps):
+        z = op.B @ p + op.v
+        np.testing.assert_allclose(c - z, u, atol=1e-12)
+        u = u + (z - m)
+    assert np.any(u != 0)
 
 
 class TestAdmm:
@@ -252,9 +274,8 @@ class TestAdmm:
         graph, op, q = random_instance(10, 15)
         gamma = 0.5
         params = DenoiseParams(
-            gamma=gamma, rho=5.0, t=0.1,
+            gamma=gamma, rho=5.0,
             cg_tol=1e-12, cg_max_iter=1000,
-            prox_tol=1e-12, prox_max_iter=1000,
             admm_tol=1e-10, admm_max_iter=6000,
         )
         A, b = random_linearizations(10, 16)
@@ -279,8 +300,7 @@ class TestAdmm:
         graph, op, q = random_instance(12, 17)
         A, b = random_linearizations(12, 18)
         diag = DiagnosticsReport()
-        params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500,
-                               cg_tol=1e-10, prox_tol=1e-10)
+        params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500, cg_tol=1e-10)
         admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
         res = [row[2] for row in diag.rows_for("x")]
         assert len(res) >= 2
@@ -318,6 +338,25 @@ class TestDenoiseEndToEnd:
         a, _ = denoise(noisy, params)
         b, _ = denoise(noisy, params)
         np.testing.assert_array_equal(a.positions, b.positions)
+
+    def test_translated_cloud_denoises_like_the_original(self):
+        # The CG stopping rule is relative to a right-hand side that grows
+        # with the coordinates; without centring, this sphere shifted by
+        # 1000 came back unchanged (ratio 1.000) while still exiting cleanly.
+        clean = sphere_with_spacing(600, 0.7)
+        radius = float(np.mean(np.linalg.norm(clean.positions, axis=1)))
+        noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=1)).positions
+        shift = np.array([1000.0, -1000.0, 1000.0])
+        params = DenoiseParams(outer_max_iter=2)
+
+        def ratio(points):
+            off = lambda x: np.sqrt(np.mean((np.linalg.norm(x, axis=1) - radius) ** 2))
+            return off(points) / off(noisy)
+
+        direct, _ = denoise(PointCloud(noisy), params)
+        shifted, _ = denoise(PointCloud(noisy + shift), params)
+        assert ratio(direct.positions) < 0.9
+        assert abs(ratio(shifted.positions - shift) - ratio(direct.positions)) <= 0.01
 
     def test_too_small_cloud_rejected(self):
         with pytest.raises(DegenerateCloudError):
