@@ -199,6 +199,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     if at_cap:
         log.warning("%d passes stopped at admm_max_iter=%d with primal residual above "
                     "admm_tol=%g", at_cap, params.admm_max_iter, params.admm_tol)
+    cg_at_cap = diagnostics.meta["cg_steps_at_cap"]
+    if cg_at_cap:
+        log.warning("%d position steps stopped at cg_max_iter=%d with residual above "
+                    "cg_tol=%g", cg_at_cap, params.cg_max_iter, params.cg_tol)
     finals = [diagnostics.rows_for(lbl)[-1][2] for lbl in diagnostics.pass_labels()]
     worst = max(finals) if finals else 0.0
     log.info("done: %d passes, worst final primal residual %.3e, %.2fs",

@@ -105,10 +105,13 @@ def _infer_format(path: str, fmt: str | None) -> str:
 def load_cloud(path: str, fmt: str | None = None) -> PointCloud:
     """Read a cloud from an XYZ or PLY-ascii file (vertices only)."""
     fmt = _infer_format(path, fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        if fmt == "xyz":
-            return _read_xyz(fh, path)
-        return _read_ply(fh, path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fmt == "xyz":
+                return _read_xyz(fh, path)
+            return _read_ply(fh, path)
+    except UnicodeDecodeError as exc:
+        raise CloudFormatError(f"not UTF-8 text ({exc.reason})", path=path) from None
 
 
 def save_cloud(cloud: PointCloud, path: str, fmt: str | None = None) -> None:

@@ -225,7 +225,9 @@ def build_knn_graph(cloud_or_points, k: int, sigma_p: float) -> WeightedGraph:
     key = np.unique(lo * n + hi)
     ei = key // n
     ej = key % n
-    w = edge_weight(points[ei], points[ej], sigma_p)
+    # Neighbours more than ~27 sigma_p apart underflow to weight 0; keep such
+    # an edge at the smallest positive weight so the graph stays valid.
+    w = np.maximum(edge_weight(points[ei], points[ej], sigma_p), np.finfo(np.float64).tiny)
     return WeightedGraph(n, ei, ej, np.atleast_1d(w))
 
 

@@ -9,10 +9,15 @@ where each 3-row block of B holds the normal linearizations A_i and -A_j
 of an edge (i, j) and v holds b_i - b_j, so m approximates the stacked
 normal differences n_i - n_j. The scaled-form ADMM splits are:
 
-    p-step:  (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v)   (conjugate gradient)
+    p-step:  (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v)   (conjugate gradient,
+             block-Jacobi preconditioned with the inverses of the 3x3 diagonal
+             blocks 2 I + rho deg_i A_i^T A_i)
     m-step:  m = soft(B p + v + u, gamma w_ij / rho)   (exact: m enters its
              subproblem alone, so the l1 prox has this closed form)
     u-step:  u += B p + v - m
+
+The stopping rule is on the primal residual; the scaled dual residual
+||B^T (m_k - m_{k-1})|| / ||B^T u_k|| is recorded in the diagnostics only.
 
 Red and blue passes alternate; each pass re-estimates support pairs,
 orientations and linearizations from the current positions of the other
@@ -26,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import bsr_matrix, csr_matrix, identity
 
 from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
@@ -42,7 +47,9 @@ class DenoiseParams:
     gamma=0.1 tends to work better at noise sigma around 0.3; gamma=0.05
     suits sigma around 0.05-0.1. rho is the ADMM penalty; the m-step is
     exact, and cg_tol / cg_max_iter bound the only inexact step, the
-    position solve.
+    position solve. That solve is preconditioned, but cg_tol is still
+    measured on the unpreconditioned relative residual
+    ||rhs - (2 I + rho B^T B) p|| / ||rhs||.
     """
 
     gamma: float = 0.05          # GTV regularization strength
@@ -114,7 +121,8 @@ class CgResult:
 class DiagnosticsReport:
     """Run metadata plus per-iteration solver records.
 
-    rows: (pass label, iteration, primal residual, objective, gtv, seconds).
+    rows: (pass label, iteration, primal residual, objective, gtv, seconds,
+    dual residual).
     """
 
     meta: dict = field(default_factory=dict)
@@ -138,9 +146,10 @@ class DiagnosticsReport:
         for outer, change in self.outer_changes:
             lines.append(f"outer_change_{outer}: {change:.17g}")
         lines.append("[iterations]")
-        lines.append("pass,iteration,primal_residual,objective,gtv,seconds")
-        for label, it, res, obj, gtv, secs in self.rows:
-            lines.append(f"{label},{it},{res:.17g},{obj:.17g},{gtv:.17g},{secs:.6f}")
+        lines.append("pass,iteration,primal_residual,objective,gtv,seconds,dual_residual")
+        for label, it, res, obj, gtv, secs, dual in self.rows:
+            lines.append(f"{label},{it},{res:.17g},{obj:.17g},{gtv:.17g},{secs:.6f},"
+                         f"{dual:.17g}")
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -186,35 +195,72 @@ def assemble_edge_operator(
     return EdgeOperator(B, v, ei, ej, n)
 
 
-def _cg(apply_a, rhs: np.ndarray, x0: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradient on an SPD operator, true-residual verified."""
+def position_system(B: csr_matrix, rho: float, Bt: csr_matrix | None = None) -> csr_matrix:
+    """The p-step matrix 2 I + rho B^T B, SPD with smallest eigenvalue >= 2."""
+    if Bt is None:
+        Bt = B.T.tocsr()
+    return (2.0 * identity(B.shape[1], format="csr", dtype=np.float64)
+            + rho * (Bt @ B)).tocsr()
+
+
+def diagonal_blocks(system: csr_matrix) -> np.ndarray:
+    """The (V, 3, 3) diagonal blocks of a p-step matrix from position_system.
+
+    Block i is 2 I + rho deg_i A_i^T A_i, where deg_i is node i's degree in
+    the class graph.
+    """
+    bsr = system.tobsr(blocksize=(3, 3))
+    block_rows = np.repeat(np.arange(bsr.shape[0] // 3), np.diff(bsr.indptr))
+    # 2 I keeps every diagonal block stored, so exactly one per block row
+    return bsr.data[bsr.indices == block_rows]
+
+
+def block_jacobi(system: csr_matrix) -> csr_matrix:
+    """Block-Jacobi preconditioner: the inverses of system's 3x3 diagonal blocks.
+
+    The blocks absorb the spread of per-node gains ||A_i|| that slows
+    unpreconditioned CG (Saad 2003, Iterative Methods for Sparse Linear
+    Systems, section 10.1).
+    """
+    inverses = np.linalg.inv(diagonal_blocks(system))
+    v = inverses.shape[0]
+    return bsr_matrix((inverses, np.arange(v), np.arange(v + 1)),
+                      shape=system.shape).tocsr()
+
+
+def _pcg(system: csr_matrix, preconditioner: csr_matrix, rhs: np.ndarray,
+         x0: np.ndarray, tol: float, max_iter: int):
+    """Preconditioned CG on an SPD system, true-residual verified.
+
+    Stops on the unpreconditioned relative residual ||rhs - system x|| / ||rhs||.
+    """
     x = x0.copy()
     bnorm = float(np.linalg.norm(rhs))
     scale = max(bnorm, np.finfo(np.float64).tiny)
-    r = rhs - apply_a(x)
+    r = rhs - system @ x
     rnorm = float(np.linalg.norm(r))
     if rnorm / scale <= tol:
         return x, CgResult(0, rnorm / scale, True)
-    p = r.copy()
-    rs = float(r @ r)
+    p = preconditioner @ r
+    rz = float(r @ p)
     iterations = 0
     for _ in range(max_iter):
-        ap = apply_a(p)
-        alpha = rs / float(p @ ap)
+        ap = system @ p
+        alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
         iterations += 1
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) / scale <= tol:
+        if np.linalg.norm(r) / scale <= tol:
             # Recursion drift check: accept only if the true residual agrees.
-            r = rhs - apply_a(x)
-            rs_new = float(r @ r)
-            if np.sqrt(rs_new) / scale <= tol:
-                return x, CgResult(iterations, float(np.sqrt(rs_new)) / scale, True)
-        beta = rs_new / rs
-        p = r + beta * p
-        rs = rs_new
-    rnorm = float(np.linalg.norm(rhs - apply_a(x)))
+            r = rhs - system @ x
+            rnorm = float(np.linalg.norm(r))
+            if rnorm / scale <= tol:
+                return x, CgResult(iterations, rnorm / scale, True)
+        z = preconditioner @ r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    rnorm = float(np.linalg.norm(rhs - system @ x))
     return x, CgResult(iterations, rnorm / scale, False)
 
 
@@ -230,27 +276,26 @@ def p_update(
     p0: np.ndarray | None = None,
     Bt: csr_matrix | None = None,
     system: csr_matrix | None = None,
+    preconditioner: csr_matrix | None = None,
 ) -> tuple[np.ndarray, CgResult]:
-    """Solve (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v) by CG.
+    """Solve (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v) by block-Jacobi PCG.
 
     The operator has smallest eigenvalue >= 2, so the system is SPD for any
     rho >= 0. Non-convergence is reported (warning + best iterate), not fatal.
-    Bt and system are optional precomputed B^T and 2I + rho B^T B; callers
-    that solve repeatedly with a fixed B pass them to skip the rebuild.
+    Bt, system and preconditioner are optional precomputed B^T,
+    position_system(B, rho) and block_jacobi(system); callers that solve
+    repeatedly with a fixed B pass them to skip the rebuild.
     """
     if Bt is None:
         Bt = B.T.tocsr()
+    if system is None:
+        system = position_system(B, rho, Bt)
+    if preconditioner is None:
+        preconditioner = block_jacobi(system)
     rhs = 2.0 * q + rho * (Bt @ (m - u - v))
 
-    if system is None:
-        def apply_a(x):
-            return 2.0 * x + rho * (Bt @ (B @ x))
-    else:
-        def apply_a(x):
-            return system @ x
-
     x0 = q if p0 is None else p0
-    p, info = _cg(apply_a, rhs, x0, cg_tol, cg_max_iter)
+    p, info = _pcg(system, preconditioner, rhs, x0, cg_tol, cg_max_iter)
     if not info.converged:
         warnings.warn(
             f"position CG stopped at relative residual {info.residual:.3e} "
@@ -316,34 +361,43 @@ def _admm_with_operator(
     u = np.zeros_like(m)
     w3 = np.repeat(weights, 3)
     tau = edge_thresholds(weights, params.gamma / params.rho)
-    # B is fixed for the whole solve: precompute B^T and the SPD system once.
+    # B is fixed for the whole solve: precompute B^T, the SPD system and its
+    # block-Jacobi preconditioner once.
     Bt = B.T.tocsr()
-    system = (2.0 * identity(B.shape[1], format="csr", dtype=np.float64)
-              + params.rho * (Bt @ B)).tocsr()
+    system = position_system(B, params.rho, Bt)
+    preconditioner = block_jacobi(system)
+    tiny = np.finfo(np.float64).tiny
 
     t0 = time.perf_counter()
     first_residual = None
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
-        p, _ = p_update(
+        p, info = p_update(
             q, B, v, m, u, params.rho, params.cg_tol, params.cg_max_iter,
-            p0=p, Bt=Bt, system=system,
+            p0=p, Bt=Bt, system=system, preconditioner=preconditioner,
         )
         _require_finite(p, f"{label}: non-finite p-step value at node index")
         z = B @ p + v
+        m_prev = m
         m = soft_threshold(z + u, tau)
         _require_finite(m, f"{label}: non-finite m-step value at edge index")
         u = u + (z - m)
 
         residual = float(np.linalg.norm(z - m)) / max(float(np.linalg.norm(m)), 1.0)
+        # scaled dual residual (Boyd et al. 2011, section 3.3.1); recorded only
+        dual = float(np.linalg.norm(Bt @ (m - m_prev))) / max(
+            float(np.linalg.norm(Bt @ u)), tiny)
         gtv = float(w3 @ np.abs(z))
         objective = float(np.sum((q - p) ** 2)) + params.gamma * gtv
         if not np.isfinite(objective):
             raise AdmmDivergenceError(f"{label}: objective became non-finite")
         if collector is not None:
-            collector.rows.append(
-                (label, iteration, residual, objective, gtv, time.perf_counter() - t0)
-            )
+            collector.rows.append((label, iteration, residual, objective, gtv,
+                                   time.perf_counter() - t0, dual))
+            meta = collector.meta
+            meta["cg_iterations"] = meta.get("cg_iterations", 0) + info.iterations
+            meta["cg_steps_at_cap"] = (meta.get("cg_steps_at_cap", 0)
+                                       + (not info.converged))
         if residual <= params.admm_tol:
             break
         if first_residual is None:
@@ -414,7 +468,9 @@ def denoise(
     the origin; the solved displacements are added back to the input, so
     unmoved points keep their input coordinates exactly. The meta key
     passes_at_cap counts passes that stopped at admm_max_iter with a primal
-    residual above admm_tol.
+    residual above admm_tol; cg_iterations totals the CG iterations of all
+    p-steps, and cg_steps_at_cap counts p-steps that stopped at cg_max_iter
+    with a residual above cg_tol.
     """
     if params is None:
         params = DenoiseParams()
@@ -423,6 +479,7 @@ def denoise(
     diag = DiagnosticsReport()
     diag.meta["points"] = cloud.n
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
+    diag.meta.update(cg_iterations=0, cg_steps_at_cap=0)
     t0 = time.perf_counter()
     centred = cloud.positions - cloud.positions.mean(axis=0)
     if cloud.n > params.window_budget:

@@ -178,6 +178,36 @@ class TestDenoiseCommand:
         assert "\npasses_at_cap: 0\n" in (tmp_path / "capped.xyz.diag").read_text()
         assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
 
+    def test_cg_work_and_steps_at_the_cap_are_counted_and_warned(self, plane_file,
+                                                                  tmp_path, caplog):
+        noisy = tmp_path / "noisy.xyz"
+        main(["-q", "noise", str(plane_file), str(noisy), "--sigma", "0.05"])
+        caplog.set_level(logging.INFO, logger="gtvdenoise")
+        out = tmp_path / "cg.xyz"
+        base = ["denoise", str(noisy), str(out), "--outer-max-iter", "1",
+                "--admm-max-iter", "4", "--admm-tol", "1e-12", "--collinearity-tol", "0.05"]
+
+        def meta(key):
+            text = (tmp_path / "cg.xyz.diag").read_text()
+            return int(text.split(f"\n{key}: ")[1].split("\n")[0])
+
+        def cg_warnings():
+            return [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING and "position steps" in r.getMessage()]
+
+        assert main(base) == EXIT_OK
+        assert meta("cg_iterations") > 0 and meta("cg_steps_at_cap") == 0
+        assert cg_warnings() == []
+
+        with pytest.warns(UserWarning, match="CG stopped"):
+            assert main(base + ["--cg-max-iter", "1"]) == EXIT_OK
+        # every p-step but each pass's first (which starts at its solution)
+        # stops after its one allowed iteration
+        at_cap = meta("cg_steps_at_cap")
+        assert at_cap > 0 and meta("cg_iterations") == at_cap
+        assert cg_warnings() == [f"{at_cap} position steps stopped at cg_max_iter=1 with "
+                                 "residual above cg_tol=1e-06"]
+
     def test_too_few_points_degenerate_exit(self, tmp_path):
         path = tmp_path / "tiny.xyz"
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")

@@ -1,0 +1,133 @@
+"""Property-based checks: malformed files and degenerate geometry fail cleanly.
+
+Every run of `gtvdenoise denoise` must end in one of the exit codes the CLI
+documents; a traceback or an undocumented code is a failure. The examples
+are derandomized so that the suite is reproducible.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gtvdenoise.cli import (
+    EXIT_CONVERGENCE,
+    EXIT_DEGENERATE,
+    EXIT_OK,
+    EXIT_PARSE,
+    main,
+)
+from gtvdenoise.cloud import PointCloud, load_cloud, save_cloud
+from gtvdenoise.errors import CloudFormatError, DegenerateCloudError
+
+FUZZ = settings(
+    max_examples=40,
+    deadline=5000,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0x10", "1,5", "", "abc"]),
+)
+XYZ_LINE = st.one_of(
+    st.lists(NUMBER, min_size=0, max_size=5).map(" ".join),
+    st.sampled_from(["# comment", "", "   "]),
+    st.text(max_size=20),
+)
+PLY_HEADER_LINE = st.one_of(
+    st.sampled_from([
+        "format ascii 1.0", "format binary_little_endian 1.0", "comment x",
+        "element vertex 3", "element vertex 0", "element vertex -2",
+        "element vertex x", "element face 1", "property float x",
+        "property float y", "property float z", "property double z",
+        "property list uchar int vertex_indices", "property char", "bogus line",
+    ]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def ply_text(draw):
+    lines = ["ply"] if draw(st.booleans()) else [draw(st.text(max_size=5))]
+    lines += draw(st.lists(PLY_HEADER_LINE, max_size=8))
+    if draw(st.booleans()):
+        lines.append("end_header")
+    lines += draw(st.lists(XYZ_LINE, max_size=6))
+    return "\n".join(lines) + "\n"
+
+
+def _load_or_reject(path, fmt):
+    try:
+        cloud = load_cloud(str(path), fmt)
+    except (CloudFormatError, DegenerateCloudError):
+        return None
+    assert np.all(np.isfinite(cloud.positions))
+    assert cloud.n >= 1
+    return cloud
+
+
+@FUZZ
+@given(lines=st.lists(XYZ_LINE, max_size=8))
+def test_xyz_reader_parses_or_raises_a_format_error(tmp_path, lines):
+    path = tmp_path / "f.xyz"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _load_or_reject(path, "xyz")
+
+
+@FUZZ
+@given(text=ply_text())
+def test_ply_reader_parses_or_raises_a_format_error(tmp_path, text):
+    path = tmp_path / "f.ply"
+    path.write_text(text, encoding="utf-8")
+    _load_or_reject(path, "ply")
+
+
+@FUZZ
+@given(data=st.binary(max_size=64), fmt=st.sampled_from(["xyz", "ply"]))
+def test_undecodable_bytes_exit_as_parse_errors(tmp_path, data, fmt):
+    path = tmp_path / f"f.{fmt}"
+    path.write_bytes(data)
+    code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
+
+
+COORD = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def degenerate_cloud(draw):
+    """4..10 points that are duplicated, collinear, far-apart clusters or mixed."""
+    n = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(["duplicates", "collinear", "clusters", "mixed"]))
+    if kind == "duplicates":
+        base = draw(st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=3))
+        pts = [base[draw(st.integers(0, len(base) - 1))] for _ in range(n)]
+    elif kind == "collinear":
+        direction = np.array(draw(st.tuples(COORD, COORD, COORD)))
+        pts = [draw(st.integers(-5, 5)) * direction for _ in range(n)]
+    elif kind == "clusters":
+        far = 10.0 ** draw(st.integers(2, 8))
+        pts = [np.array(draw(st.tuples(COORD, COORD, COORD)))
+               + (far if i % 2 else 0.0) for i in range(n)]
+    else:
+        pts = draw(st.lists(st.tuples(COORD, COORD, COORD), min_size=n, max_size=n))
+    return np.asarray(pts, dtype=np.float64).reshape(n, 3)
+
+
+@FUZZ
+@given(points=degenerate_cloud(), fmt=st.sampled_from(["xyz", "ply"]))
+def test_denoise_on_degenerate_geometry_exits_with_a_documented_code(
+        tmp_path, points, fmt):
+    path = tmp_path / f"in.{fmt}"
+    out = tmp_path / "out.xyz"
+    save_cloud(PointCloud(points), str(path))
+    code = main(["-q", "denoise", str(path), str(out),
+                 "--outer-max-iter", "2", "--admm-max-iter", "20"])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE, EXIT_DEGENERATE)
+    if code == EXIT_OK:
+        result = load_cloud(str(out))
+        assert result.n == points.shape[0]
+        assert np.all(np.isfinite(result.positions))

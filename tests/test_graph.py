@@ -165,6 +165,17 @@ class TestBuildKnnGraph:
         with pytest.raises(DegenerateCloudError):
             build_knn_graph(np.zeros((5, 3)), k=2, sigma_p=1.5)
 
+    def test_far_neighbors_keep_a_positive_weight(self):
+        # two 3-point clusters 1000 apart: k = 3 forces edges between them,
+        # whose Gaussian weight underflows to 0
+        near = np.random.default_rng(6).normal(size=(3, 3))
+        pts = np.vstack([near, near + 1000.0])
+        g = build_knn_graph(pts, k=3, sigma_p=1.5)
+        crossing = (g.ei < 3) != (g.ej < 3)
+        assert crossing.any()
+        np.testing.assert_array_equal(g.w[crossing], np.finfo(np.float64).tiny)
+        assert np.all(g.w[~crossing] > 1e-6)
+
     def test_bad_k_rejected(self):
         pts = np.random.default_rng(5).normal(size=(10, 3))
         with pytest.raises(ValueError):

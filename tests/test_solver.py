@@ -1,4 +1,4 @@
-"""ADMM solver pieces: CG, the m- and u-steps, edge operator, full denoise."""
+"""ADMM solver pieces: PCG, the m- and u-steps, edge operator, full denoise."""
 
 import numpy as np
 import pytest
@@ -19,9 +19,12 @@ from gtvdenoise.solver import (
     _window_layout,
     admm_denoise_partite,
     assemble_edge_operator,
+    block_jacobi,
     denoise,
+    diagonal_blocks,
     edge_thresholds,
     p_update,
+    position_system,
     soft_threshold,
 )
 from gtvdenoise import solver
@@ -181,6 +184,44 @@ class TestPUpdate:
         )
         np.testing.assert_allclose(plain, pre, atol=1e-9)
 
+    def test_preconditioner_blocks_are_the_diagonal_blocks_of_the_system(self):
+        graph, op, _ = random_instance(7, 20)
+        A, _ = random_linearizations(7, 21)
+        rho = 5.0
+        system = position_system(op.B, rho)
+        dense = 2.0 * np.eye(21) + rho * op.B.toarray().T @ op.B.toarray()
+        blocks = diagonal_blocks(system)
+        degree = graph.incident_counts()
+        assert blocks.shape == (7, 3, 3)
+        for i in range(7):
+            np.testing.assert_allclose(blocks[i], dense[3 * i:3 * i + 3, 3 * i:3 * i + 3],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                blocks[i], 2.0 * np.eye(3) + rho * degree[i] * A[i].T @ A[i],
+                rtol=0, atol=1e-12)
+        inverse = block_jacobi(system).toarray()
+        for i in range(7):
+            np.testing.assert_allclose(inverse[3 * i:3 * i + 3, 3 * i:3 * i + 3] @ blocks[i],
+                                       np.eye(3), rtol=0, atol=1e-12)
+        assert np.count_nonzero(inverse) <= 9 * 7
+
+    def test_one_node_with_a_300x_gain_still_matches_the_dense_solve(self):
+        # Unpreconditioned CG needed 67 iterations here; block Jacobi takes 32.
+        n = 40
+        graph, _, q = random_instance(n, 0)
+        A, b = random_linearizations(n, 1)
+        A[n // 2] *= 300.0
+        op = assemble_edge_operator(graph, A, b)
+        rng = np.random.default_rng(100)
+        m = rng.normal(size=op.v.size)
+        u = rng.normal(size=op.v.size)
+        p, info = p_update(q, op.B, op.v, m, u, 5.0, cg_tol=1e-10, cg_max_iter=1000)
+        Bd = op.B.toarray()
+        direct = np.linalg.solve(2.0 * np.eye(3 * n) + 5.0 * Bd.T @ Bd,
+                                 2.0 * q + 5.0 * Bd.T @ (m - u - op.v))
+        assert info.converged and info.iterations <= 40
+        assert np.linalg.norm(p - direct) / np.linalg.norm(direct) < 1e-8
+
     def test_warns_when_not_converged(self):
         _, op, q = random_instance(10, 9)
         m = np.zeros(op.v.size)
@@ -193,7 +234,7 @@ def v_of(op):
     return op.v
 
 
-def record_admm_steps(monkeypatch, graph, A, b, q, params):
+def record_admm_steps(monkeypatch, graph, A, b, q, params, collector=None):
     """Run one ADMM solve; return its p-step outputs and (c, tau, m) m-steps."""
     p_steps, m_steps = [], []
 
@@ -210,7 +251,7 @@ def record_admm_steps(monkeypatch, graph, A, b, q, params):
     with monkeypatch.context() as patch:
         patch.setattr(solver, "p_update", p_step)
         patch.setattr(solver, "soft_threshold", m_step)
-        out = admm_denoise_partite(q, graph, A, b, params)
+        out = admm_denoise_partite(q, graph, A, b, params, collector=collector)
     return out, p_steps, m_steps
 
 
@@ -256,6 +297,38 @@ def test_u_update_formula(monkeypatch):
         np.testing.assert_allclose(c - z, u, atol=1e-12)
         u = u + (z - m)
     assert np.any(u != 0)
+
+
+class TestDualResidual:
+    def test_recorded_value_matches_the_scaled_dual_formula(self, monkeypatch):
+        # dual_k = ||B'(m_k - m_{k-1})|| / ||B' u_k|| with m_0 = B q + v
+        graph, _, q = random_instance(5, 11)
+        A, b = random_linearizations(5, 12)
+        op = assemble_edge_operator(graph, A, b)
+        params = DenoiseParams(gamma=0.2, admm_max_iter=15, admm_tol=1e-12)
+        diag = DiagnosticsReport()
+        _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params, diag)
+        assert len(diag.rows) == len(m_steps) >= 3
+        m_prev, u = op.B @ q + op.v, np.zeros(op.v.size)
+        for row, p, (_, _, m) in zip(diag.rows, p_steps, m_steps):
+            u = u + (op.B @ p + op.v - m)
+            expect = (np.linalg.norm(op.B.T @ (m - m_prev))
+                      / np.linalg.norm(op.B.T @ u))
+            assert row[6] == pytest.approx(expect, rel=1e-12)
+            m_prev = m
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_primal_residual_can_hide_a_large_dual_residual(self, seed):
+        # The primal-only stopping rule ends these solves at iteration 2 with
+        # primal residual 0.0, short of the optimum; the dual residual shows it.
+        graph, _, q = random_instance(6, seed + 200)
+        A, b = random_linearizations(6, seed + 201)
+        params = DenoiseParams(gamma=0.05, admm_tol=1e-9, cg_tol=1e-12)
+        diag = DiagnosticsReport()
+        admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
+        final = diag.rows[-1]
+        assert final[2] == 0.0
+        assert final[6] > params.admm_tol
 
 
 class TestAdmm:
@@ -459,12 +532,13 @@ class TestDenoiseEndToEnd:
 class TestDiagnosticsReport:
     def test_text_format_and_save(self, tmp_path):
         diag = DiagnosticsReport(meta={"points": 5})
-        diag.rows.append(("outer1:red", 1, 0.5, 2.0, 1.0, 0.01))
+        diag.rows.append(("outer1:red", 1, 0.5, 2.0, 1.0, 0.01, 0.125))
         diag.outer_changes.append(("1", 0.25))
         text = diag.to_text()
         assert text.startswith("# denoise diagnostics\npoints: 5\n")
         assert "outer_change_1: 0.25" in text
-        assert "pass,iteration,primal_residual,objective,gtv,seconds" in text
+        assert "pass,iteration,primal_residual,objective,gtv,seconds,dual_residual\n" in text
+        assert text.endswith("\nouter1:red,1,0.5,2,1,0.010000,0.125\n")
         path = tmp_path / "d.diag"
         diag.save(str(path))
         assert path.read_text() == text
