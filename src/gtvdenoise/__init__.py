@@ -30,7 +30,6 @@ from .graph import SpatialIndex, WeightedGraph, build_knn_graph, edge_weight, la
 from .metrics import MetricReport, c2c, c2p, evaluate, gtv_value
 from .normals import (
     NormalField,
-    SupportPair,
     affine_normals,
     estimate_normal_field,
     orient_normals,
@@ -91,7 +90,6 @@ __all__ = [
     "select_support_pair",
     "soft_threshold",
     "SpatialIndex",
-    "SupportPair",
     "UsageError",
     "WeightedGraph",
     "__version__",

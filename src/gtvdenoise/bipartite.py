@@ -10,11 +10,12 @@ the graph around the candidate node so the cost stays bounded.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import WeightedGraph
 
@@ -105,83 +106,77 @@ def kld(l_orig, l_bip, delta: float) -> float:
     return 0.5 * (trace + logdet_o - logdet_b - n)
 
 
+def _add_edges(lap: np.ndarray, la: np.ndarray, lb: np.ndarray, w: np.ndarray) -> None:
+    """Add edges (la, lb, w) to a dense Laplacian in place.
+
+    Each diagonal entry accumulates its edges in the given order, so edges
+    passed in lexicographic order reproduce an edge-by-edge loop bit for bit.
+    """
+    lap[la, lb] -= w
+    lap[lb, la] -= w
+    ends = np.stack([la, lb], axis=1).ravel()
+    np.add.at(lap, (ends, ends), np.repeat(w, 2))
+
+
 class _GreedyState:
     """Working state for one bipartition run over one graph."""
 
     def __init__(self, graph: WeightedGraph, delta: float, view_hops: int):
-        self.graph = graph
+        self.adj = graph.adjacency
         self.delta = delta
-        self.view_hops = view_hops
-        self.nbrs = graph.neighbor_lists
         self.assign = np.full(graph.node_count, -1, dtype=np.int8)
+        self.local = np.full(graph.node_count, -1, dtype=np.int64)  # global -> view index
+        # Pattern of (I + A)^view_hops: row c holds every node within view_hops of c.
+        step = csr_matrix((np.ones(self.adj.nnz), self.adj.indices, self.adj.indptr),
+                          shape=self.adj.shape) + identity(graph.node_count, format="csr")
+        reach = step
+        for _ in range(view_hops - 1):
+            reach = reach @ step
+            reach.data[:] = 1.0
+        reach.sort_indices()
+        self.reach = reach
 
-    def local_view(self, c: int) -> list[int]:
+    def local_view(self, c: int) -> np.ndarray:
         """Assigned nodes within view_hops of c (graph distance), plus c, ascending."""
-        seen = {c}
-        frontier = [c]
-        found = []
-        for _ in range(self.view_hops):
-            nxt = []
-            for u in frontier:
-                for v in self.nbrs[u]:
-                    v = int(v)
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-                        if self.assign[v] >= 0:
-                            found.append(v)
-            frontier = nxt
-            if not frontier:
-                break
-        return sorted(found + [c])
+        ball = self.reach.indices[self.reach.indptr[c]:self.reach.indptr[c + 1]]
+        return ball[(self.assign[ball] >= 0) | (ball == c)]
 
     def candidate_divergences(self, c: int) -> tuple[float, float]:
         """KLD of assigning c to red / to blue, on the local view."""
         view = self.local_view(c)
-        n = len(view)
-        local = {g: l for l, g in enumerate(view)}
-        lc = local[c]
+        n = view.size
+        self.local[view] = np.arange(n)
+        lc = self.local[c]
         delta = self.delta
 
-        l_orig = np.zeros((n, n))
-        l_base = np.zeros((n, n))  # kept (cross-class) edges among assigned view nodes
-        c_edges = []  # (local_j, weight, class_of_j) for edges incident to c
-        for a in view:
-            la = local[a]
-            ga = self.assign[a]
-            for b in self.nbrs[a]:
-                b = int(b)
-                lb = local.get(b)
-                if lb is None or lb <= la:
-                    continue
-                wt = self.graph.weight_of(a, b)
-                l_orig[la, la] += wt
-                l_orig[lb, lb] += wt
-                l_orig[la, lb] -= wt
-                l_orig[lb, la] -= wt
-                gb = self.assign[b]
-                if a == c or b == c:
-                    other = lb if a == c else la
-                    gother = gb if a == c else ga
-                    c_edges.append((other, wt, int(gother)))
-                elif ga != gb:
-                    l_base[la, la] += wt
-                    l_base[lb, lb] += wt
-                    l_base[la, lb] -= wt
-                    l_base[lb, la] -= wt
+        # Edges among view nodes in lexicographic (la, lb) order, la < lb: the
+        # adjacency rows of the view, read in order through positions pos.
+        starts = self.adj.indptr[view]
+        counts = self.adj.indptr[view + 1] - starts
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        la = np.repeat(np.arange(n), counts)
+        lb = self.local[self.adj.indices[pos]]
+        keep = lb > la
+        la, lb, w = la[keep], lb[keep], self.adj.data[pos][keep]
+        self.local[view] = -1
+
+        cls = self.assign[view]
+        at_c = (la == lc) | (lb == lc)
+        other_cls = np.where(la == lc, cls[lb], cls[la])  # class of c's neighbor
+        base = ~at_c & (cls[la] != cls[lb])  # kept edges among assigned view nodes
 
         eye = np.eye(n)
+        l_orig = np.zeros((n, n))
+        _add_edges(l_orig, la, lb, w)
         logdet_o, sigma = _logdet_and_inverse(l_orig + delta * eye)
+        l_base = np.zeros((n, n))
+        _add_edges(l_base, la[base], lb[base], w[base])
 
         out = []
         for g in (RED, BLUE):
+            kept = at_c & (other_cls != g)  # cross-class edges at c survive
             l_b = l_base.copy()
-            for lj, wt, gj in c_edges:
-                if gj != g:  # cross-class edge survives
-                    l_b[lc, lc] += wt
-                    l_b[lj, lj] += wt
-                    l_b[lc, lj] -= wt
-                    l_b[lj, lc] -= wt
+            _add_edges(l_b, la[kept], lb[kept], w[kept])
             p_b = l_b + delta * eye
             trace = float(np.sum(p_b * sigma))
             out.append(0.5 * (trace + logdet_o - _logdet(p_b) - n))
@@ -228,41 +223,35 @@ def approximate_bipartite(
     for seed in seeds:
         if state.assign[seed] >= 0:
             continue
-        queue = deque([seed])
-        discovered = np.zeros(n, dtype=bool)
-        discovered[seed] = True
-        while queue:
-            c = int(queue.popleft())
-            if state.assign[c] < 0:
-                if first_seed:
-                    # The very first node initializes the red class.
-                    assign(c, RED, GreedyStep(c, 0.0, 0.0, RED, tie=False, seed=True))
-                    first_seed = False
-                else:
-                    d_red, d_blue = state.candidate_divergences(c)
-                    tie = abs(d_blue - d_red) <= TIE_RTOL * max(1.0, abs(d_red))
-                    forced = False
-                    if tie:
-                        g = tie_next
-                        tie_next = BLUE if tie_next == RED else RED
-                        # Keep both classes non-empty: the last node may not
-                        # land a tie into the only populated class.
-                        if (
-                            assigned_count == n - 1
-                            and n >= 2
-                            and not np.any(state.assign == (BLUE if g == RED else RED))
-                            and np.any(state.assign == g)
-                        ):
-                            g = BLUE if g == RED else RED
-                            forced = True
-                    else:
-                        g = RED if d_blue > d_red else BLUE
-                    assign(c, g, GreedyStep(c, d_red, d_blue, g, tie=tie, forced=forced))
-            for v in state.nbrs[c]:
-                v = int(v)
-                if not discovered[v]:
-                    discovered[v] = True
-                    queue.append(v)
+        # One BFS covers the seed's whole component, none of it assigned yet;
+        # neighbours are queued in ascending index order.
+        for c in breadth_first_order(state.adj, seed, directed=True,
+                                     return_predecessors=False):
+            c = int(c)
+            if first_seed:
+                # The very first node initializes the red class.
+                assign(c, RED, GreedyStep(c, 0.0, 0.0, RED, tie=False, seed=True))
+                first_seed = False
+                continue
+            d_red, d_blue = state.candidate_divergences(c)
+            tie = abs(d_blue - d_red) <= TIE_RTOL * max(1.0, abs(d_red))
+            forced = False
+            if tie:
+                g = tie_next
+                tie_next = BLUE if tie_next == RED else RED
+                # Keep both classes non-empty: the last node may not
+                # land a tie into the only populated class.
+                if (
+                    assigned_count == n - 1
+                    and n >= 2
+                    and not np.any(state.assign == (BLUE if g == RED else RED))
+                    and np.any(state.assign == g)
+                ):
+                    g = BLUE if g == RED else RED
+                    forced = True
+            else:
+                g = RED if d_blue > d_red else BLUE
+            assign(c, g, GreedyStep(c, d_red, d_blue, g, tie=tie, forced=forced))
 
     return Bipartition(state.assign.copy(), trace=trace)
 

@@ -5,6 +5,12 @@ w_ij = exp(-||p_i - p_j||^2 / sigma_p^2), so weights fall in (0, 1].
 Neighbor queries are exact (kd-tree with full backtracking) and distance
 ties are broken by the smaller point index, which makes the graph
 independent of point insertion order.
+
+knn_adjacency builds the union-symmetrized k-NN pattern, the one graph
+that the k-NN graph, the normal orientation and the window layout share.
+A WeightedGraph keeps its edges as canonical arrays plus a cached
+symmetric CSR adjacency, which callers slice by row or hand to
+scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
@@ -155,47 +161,31 @@ class WeightedGraph:
         return cnt
 
     @cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Per node: ascending array of neighbor indices."""
-        nbrs: list[list[int]] = [[] for _ in range(self.node_count)]
-        for a, b in zip(self.ei, self.ej):
-            nbrs[a].append(int(b))
-            nbrs[b].append(int(a))
-        return [np.array(sorted(lst), dtype=np.int64) for lst in nbrs]
+    def adjacency(self) -> csr_matrix:
+        """Symmetric weighted adjacency: CSR, sorted indices, w_ij at (i, j) and (j, i)."""
+        rows = np.concatenate([self.ei, self.ej])
+        cols = np.concatenate([self.ej, self.ei])
+        adj = csr_matrix((np.concatenate([self.w, self.w]), (rows, cols)),
+                         shape=(self.node_count, self.node_count))
+        adj.sort_indices()
+        return adj
 
-    @cached_property
-    def _weight_lookup(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(a), int(b)): float(wt)
-            for a, b, wt in zip(self.ei, self.ej, self.w)
-        }
 
-    def weight_of(self, a: int, b: int) -> float:
-        """Weight of edge (a, b); KeyError if absent."""
-        if a > b:
-            a, b = b, a
-        return self._weight_lookup[(a, b)]
+def knn_adjacency(points: np.ndarray, k: int) -> csr_matrix:
+    """Union-symmetrized k-NN pattern: CSR with sorted indices and unit entries.
 
-    def components(self) -> list[np.ndarray]:
-        """Connected components as ascending index arrays, ordered by smallest member."""
-        seen = np.zeros(self.node_count, dtype=bool)
-        nbrs = self.neighbor_lists
-        comps = []
-        for start in range(self.node_count):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in nbrs[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(int(v))
-            comps.append(np.array(sorted(comp), dtype=np.int64))
-        return comps
+    Entry (i, j) is stored when i is among j's k nearest neighbors or j is
+    among i's (exact, ties by smaller index); the diagonal is empty.
+    """
+    n = points.shape[0]
+    idx = SpatialIndex(points).query_knn(points, k, exclude_self=True).ravel()
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    adj = csr_matrix((np.ones(2 * idx.size), (np.concatenate([src, idx]),
+                                                np.concatenate([idx, src]))),
+                     shape=(n, n))
+    adj.sum_duplicates()
+    adj.data[:] = 1.0
+    return adj
 
 
 def build_knn_graph(cloud_or_points, k: int, sigma_p: float) -> WeightedGraph:
@@ -217,14 +207,10 @@ def build_knn_graph(cloud_or_points, k: int, sigma_p: float) -> WeightedGraph:
     if np.all(points == points[0]):
         raise DegenerateCloudError("all points coincide; k-NN graph undefined")
 
-    idx = SpatialIndex(points).query_knn(points, k, exclude_self=True)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = idx.ravel()
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    key = np.unique(lo * n + hi)
-    ei = key // n
-    ej = key % n
+    adj = knn_adjacency(points, k)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    upper = rows < adj.indices
+    ei, ej = rows[upper], adj.indices[upper].astype(np.int64)
     # Neighbours more than ~27 sigma_p apart underflow to weight 0; keep such
     # an edge at the smallest positive weight so the graph stays valid.
     w = np.maximum(edge_weight(points[ei], points[ej], sigma_p), np.finfo(np.float64).tiny)

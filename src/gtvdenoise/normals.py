@@ -15,28 +15,16 @@ models are kept as stacked arrays (see affine_normals).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from .errors import NoSupportPairError
-from .graph import SpatialIndex, WeightedGraph
+from .graph import SpatialIndex, WeightedGraph, knn_adjacency
 
 DEFAULT_COLLINEARITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SupportPair:
-    """Opposite-class anchor nodes (k, l) for one node's normal."""
-
-    node: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if len({self.node, self.k, self.l}) != 3:
-            raise ValueError(f"support pair nodes must be distinct, got {self}")
 
 
 @dataclass(eq=False)
@@ -52,7 +40,7 @@ class NormalField:
     A: np.ndarray                # (m, 3, 3)
     b: np.ndarray                # (m, 3)
     alpha: np.ndarray            # (m,) orientation signs, +1 or -1
-    pairs: list[SupportPair]
+    pairs: np.ndarray            # (m, 2) support pair (k, l) of each node
 
 
 def affine_normals(p_i: np.ndarray, p_k: np.ndarray, p_l: np.ndarray):
@@ -93,7 +81,7 @@ def select_support_pair(
     candidate_ids: np.ndarray,
     candidate_positions: np.ndarray,
     tol: float = DEFAULT_COLLINEARITY_TOL,
-) -> SupportPair:
+) -> tuple[int, int]:
     """First non-collinear (k, l) from distance-ordered candidates.
 
     Candidates must already be sorted by (distance to p_i, index). k walks
@@ -109,92 +97,46 @@ def select_support_pair(
             if b == a:
                 continue
             if _is_valid_triple(p_i, candidate_positions[a], candidate_positions[b], tol):
-                return SupportPair(node, int(candidate_ids[a]), int(candidate_ids[b]))
+                return int(candidate_ids[a]), int(candidate_ids[b])
     raise NoSupportPairError(node)
 
 
 def orient_normals(positions: np.ndarray, normals: np.ndarray, k: int) -> np.ndarray:
     """Sign choices (+1/-1) making normals of nearby nodes agree.
 
-    Builds a k-NN graph over the nodes with edge cost 1 - |n_i . n_j|,
-    takes a minimum spanning tree per connected component (Prim, ties by
-    smaller node index), roots each tree at its maximum-z node with the
+    Builds the union-symmetrized k-NN graph over the nodes with edge cost
+    max(1 - |n_i . n_j|, tiny), takes a minimum spanning forest of it
+    (scipy.sparse.csgraph; exactly tied costs follow scipy's tie rule),
+    roots each tree at its maximum-z node (smaller index on ties) with the
     root's normal signed toward non-negative z, and propagates signs so
-    every tree edge has (alpha_i n_i) . (alpha_j n_j) >= 0.
+    every tree edge has (alpha_i n_i) . (alpha_j n_j) >= 0. The tiny floor
+    keeps zero-cost edges, which scipy would drop, without reordering
+    costs: the smallest positive 1 - |dot| is about 1.1e-16.
     """
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     n = positions.shape[0]
     if normals.shape != (n, 3):
         raise ValueError(f"normals shape {normals.shape} does not match {n} nodes")
+
+    adj = knn_adjacency(positions, min(k, n - 1))
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    dots = np.einsum("ij,ij->i", normals[rows], normals[adj.indices])
+    costs = csr_matrix(
+        (np.maximum(1.0 - np.abs(dots), np.finfo(np.float64).tiny), adj.indices, adj.indptr),
+        shape=(n, n),
+    )
+    forest = minimum_spanning_tree(costs)
+    n_comp, labels = connected_components(forest, directed=False)
     alphas = np.ones(n, dtype=np.int8)
-    if n == 1:
-        if normals[0, 2] < 0:
-            alphas[0] = -1
-        return alphas
-
-    k_eff = min(k, n - 1)
-    idx = SpatialIndex(positions).query_knn(positions, k_eff, exclude_self=True)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in idx[i]:
-            nbrs[i].add(int(j))
-            nbrs[int(j)].add(i)
-    adjacency = [np.array(sorted(s), dtype=np.int64) for s in nbrs]
-
-    in_tree = np.zeros(n, dtype=bool)
-    for comp_nodes in _components(adjacency, n):
-        zs = positions[comp_nodes, 2]
-        root = int(comp_nodes[int(np.argmax(zs))])  # argmax takes the first = smallest index
+    for comp in range(n_comp):
+        members = np.flatnonzero(labels == comp)
+        root = int(members[np.argmax(positions[members, 2])])  # first max = smallest index
         alphas[root] = 1 if normals[root, 2] >= 0 else -1
-
-        # Prim with deterministic tie-breaks: best (cost, parent) per node,
-        # pop order (cost, node).
-        best_cost = np.full(n, np.inf)
-        best_parent = np.full(n, -1, dtype=np.int64)
-        best_cost[root] = 0.0
-        heap = [(0.0, root)]
-        while heap:
-            cost, u = heapq.heappop(heap)
-            if in_tree[u] or cost > best_cost[u]:
-                continue
-            in_tree[u] = True
-            parent = best_parent[u]
-            if parent >= 0:
-                dot = float(normals[parent] @ normals[u])
-                alphas[u] = alphas[parent] * (1 if dot >= 0 else -1)
-            for v in adjacency[u]:
-                v = int(v)
-                if in_tree[v]:
-                    continue
-                c = 1.0 - abs(float(normals[u] @ normals[v]))
-                if c < 0.0:
-                    c = 0.0  # rounding can push |dot| just above 1
-                if c < best_cost[v] or (c == best_cost[v] and u < best_parent[v]):
-                    best_cost[v] = c
-                    best_parent[v] = u
-                    heapq.heappush(heap, (c, v))
+        order, parent = breadth_first_order(forest, root, directed=False)
+        for u in order[1:]:
+            alphas[u] = alphas[parent[u]] * (1 if normals[parent[u]] @ normals[u] >= 0 else -1)
     return alphas
-
-
-def _components(adjacency: list[np.ndarray], n: int) -> list[np.ndarray]:
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(np.array(sorted(comp), dtype=np.int64))
-    return comps
 
 
 def estimate_normal_field(
@@ -221,10 +163,10 @@ def estimate_normal_field(
     other_ids = np.flatnonzero(assignment != opt_class)
     other_index: SpatialIndex | None = None
 
-    pairs: list[SupportPair] = []
+    pairs: list[tuple[int, int]] = []
     ok_ids: list[int] = []
     failed: list[int] = []
-    nbrs = graph.neighbor_lists
+    adj = graph.adjacency
 
     def ordered(ids: np.ndarray, p_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos = positions[ids]
@@ -235,7 +177,8 @@ def estimate_normal_field(
     for i in opt_ids:
         i = int(i)
         p_i = positions[i]
-        local = nbrs[i][assignment[nbrs[i]] != opt_class]
+        nbrs = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
+        local = nbrs[assignment[nbrs] != opt_class]
         pair = None
         try:
             ids_o, pos_o = ordered(local, p_i)
@@ -263,22 +206,22 @@ def estimate_normal_field(
     if not ok_ids:
         empty = np.zeros((0, 3))
         return NormalField(np.array([], dtype=np.int64), empty, np.zeros((0, 3, 3)),
-                           empty, np.zeros(0, dtype=np.int8), []), failed
+                           empty, np.zeros(0, dtype=np.int8),
+                           np.zeros((0, 2), dtype=np.int64)), failed
 
     ids_arr = np.array(ok_ids, dtype=np.int64)
+    pairs_arr = np.array(pairs, dtype=np.int64)
     pi = positions[ids_arr]
-    raw, _, _, A, b = affine_normals(
-        pi, positions[[p.k for p in pairs]], positions[[p.l for p in pairs]]
-    )
+    raw, _, _, A, b = affine_normals(pi, positions[pairs_arr[:, 0]], positions[pairs_arr[:, 1]])
     alphas = orient_normals(pi, raw, k)
     A *= alphas[:, None, None]
     b *= alphas[:, None]
-    return NormalField(ids_arr, raw * alphas[:, None], A, b, alphas, pairs), failed
+    return NormalField(ids_arr, raw * alphas[:, None], A, b, alphas, pairs_arr), failed
 
 
 def normal_field_lines(field: NormalField):
     """Yield 'node nx ny nz alpha k l' debug lines."""
     for t, i in enumerate(field.ids):
         nx, ny, nz = field.normals[t]
-        p = field.pairs[t]
-        yield f"{i} {nx:.17g} {ny:.17g} {nz:.17g} {field.alpha[t]:+d} {p.k} {p.l}"
+        k, l = field.pairs[t]
+        yield f"{i} {nx:.17g} {ny:.17g} {nz:.17g} {field.alpha[t]:+d} {k} {l}"

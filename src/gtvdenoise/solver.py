@@ -36,7 +36,7 @@ from scipy.sparse import bsr_matrix, csr_matrix, identity
 from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
 from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
-from .graph import SpatialIndex, WeightedGraph, build_knn_graph
+from .graph import WeightedGraph, build_knn_graph, knn_adjacency
 from .normals import DEFAULT_COLLINEARITY_TOL, estimate_normal_field
 
 
@@ -577,11 +577,7 @@ def _window_layout(
     n = q_obs.shape[0]
     if np.all(q_obs == q_obs[0]):
         raise DegenerateCloudError("all points coincide; cannot denoise")
-    k = min(params.k, n - 1)
-    nbrs = SpatialIndex(q_obs).query_knn(q_obs, k, exclude_self=True)
-    knn = csr_matrix((np.ones(n * k), (np.repeat(np.arange(n), k), nbrs.ravel())),
-                     shape=(n, n))
-    adjacency = knn + knn.T  # the union-symmetrized graph of build_knn_graph
+    adjacency = knn_adjacency(q_obs, min(params.k, n - 1))
 
     windows: list[tuple[np.ndarray, np.ndarray]] = []
     stack = [np.arange(n)]

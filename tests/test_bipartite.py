@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from gtvdenoise.bipartite import (
     BLUE,
@@ -171,6 +172,39 @@ class TestGreedyGeneral:
         bp = approximate_bipartite(g, record_trace=True)
         for step in bp.trace:
             assert step.d_red >= -1e-9 and step.d_blue >= -1e-9
+
+    @pytest.mark.parametrize("clusters", [1, 2], ids=["connected", "two-components"])
+    def test_divergences_match_dense_reference(self, clusters):
+        # every candidate divergence equals kld() of dense Laplacians on the
+        # step's local view: assigned nodes within view_hops, plus the node
+        rng = np.random.default_rng(1)
+        pts = np.vstack([rng.normal(size=(40 // clusters, 3)) + 1000.0 * c
+                         for c in range(clusters)])
+        g = build_knn_graph(pts, k=4, sigma_p=1.5)
+        assert connected_components(g.adjacency)[0] == clusters
+        hops = shortest_path(g.adjacency, unweighted=True)
+        view_hops, delta = 2, 0.01
+        bp = approximate_bipartite(g, delta=delta, view_hops=view_hops, record_trace=True)
+        assert len(bp.trace) == g.node_count
+        assign = np.full(g.node_count, -1)
+        for step in bp.trace:
+            if not step.seed:
+                view = np.flatnonzero(((assign >= 0) & (hops[step.node] <= view_hops))
+                                      | (np.arange(g.node_count) == step.node))
+                inside = np.isin(g.ei, view) & np.isin(g.ej, view)
+                ei = np.searchsorted(view, g.ei[inside])
+                ej = np.searchsorted(view, g.ej[inside])
+                w = g.w[inside]
+                l_orig = laplacian(WeightedGraph(view.size, ei, ej, w), dense=True)
+                for g_c, d in ((RED, step.d_red), (BLUE, step.d_blue)):
+                    cls = assign[view].copy()
+                    cls[view == step.node] = g_c
+                    cross = cls[ei] != cls[ej]
+                    l_bip = laplacian(
+                        WeightedGraph(view.size, ei[cross], ej[cross], w[cross]), dense=True
+                    )
+                    assert d == pytest.approx(kld(l_orig, l_bip, delta), rel=1e-10, abs=1e-10)
+            assign[step.node] = step.chosen
 
     def test_bad_arguments_rejected(self):
         g = path_graph(3)

@@ -11,6 +11,7 @@ from gtvdenoise.graph import (
     build_knn_graph,
     edge_list_lines,
     edge_weight,
+    knn_adjacency,
     laplacian,
 )
 
@@ -118,18 +119,14 @@ class TestWeightedGraph:
         np.testing.assert_allclose(g.degrees(), [0.5, 0.75, 0.25])
         np.testing.assert_array_equal(g.incident_counts(), [1, 2, 1])
 
-    def test_neighbor_lists_and_weight_of(self):
+    def test_adjacency(self):
         g = WeightedGraph(4, [0, 0, 2], [1, 2, 3], [0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(g.neighbor_lists[0], [1, 2])
-        np.testing.assert_array_equal(g.neighbor_lists[3], [2])
-        assert g.weight_of(3, 2) == 0.3
-        with pytest.raises(KeyError):
-            g.weight_of(1, 3)
-
-    def test_components(self):
-        g = WeightedGraph(5, [0, 3], [1, 4], [0.5, 0.5])
-        comps = g.components()
-        assert [c.tolist() for c in comps] == [[0, 1], [2], [3, 4]]
+        adj = g.adjacency
+        assert adj.has_sorted_indices
+        np.testing.assert_array_equal(adj.indices[adj.indptr[0]:adj.indptr[1]], [1, 2])
+        np.testing.assert_array_equal(adj.indices[adj.indptr[3]:adj.indptr[4]], [2])
+        assert adj[3, 2] == adj[2, 3] == 0.3
+        assert adj[1, 3] == 0
 
 
 class TestBuildKnnGraph:
@@ -140,6 +137,15 @@ class TestBuildKnnGraph:
         g = build_knn_graph(pts, k=2, sigma_p=100.0)
         pairs = set(zip(g.ei.tolist(), g.ej.tolist()))
         assert pairs == {(0, 1), (0, 2), (1, 2)}
+
+    def test_shares_the_knn_adjacency_pattern(self):
+        pts = np.random.default_rng(8).normal(size=(50, 3))
+        adj = knn_adjacency(pts, 5)
+        g = build_knn_graph(pts, k=5, sigma_p=1.5)
+        assert adj.has_sorted_indices
+        np.testing.assert_array_equal(adj.data, 1.0)
+        np.testing.assert_array_equal(adj.indptr, g.adjacency.indptr)
+        np.testing.assert_array_equal(adj.indices, g.adjacency.indices)
 
     def test_min_degree_k(self):
         rng = np.random.default_rng(2)

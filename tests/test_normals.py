@@ -7,7 +7,6 @@ from gtvdenoise.bipartite import RED, approximate_bipartite
 from gtvdenoise.errors import NoSupportPairError
 from gtvdenoise.graph import build_knn_graph
 from gtvdenoise.normals import (
-    SupportPair,
     affine_normals,
     estimate_normal_field,
     normal_field_lines,
@@ -70,8 +69,7 @@ class TestRawNormal:
         p_i = np.zeros(3)
         ids = np.array([1, 2])
         pos = np.array([[1.0, 1e-6, 0.0], [2.0, 0.0, 0.0]])
-        pair = select_support_pair(0, p_i, ids, pos, tol=1e-8)
-        assert (pair.k, pair.l) == (1, 2)
+        assert select_support_pair(0, p_i, ids, pos, tol=1e-8) == (1, 2)
         with pytest.raises(NoSupportPairError):
             select_support_pair(0, p_i, ids, pos, tol=1e-3)
 
@@ -90,8 +88,7 @@ class TestLinearize:
         pos, graph, bp = TestEstimateNormalField()._plane_setup(seed=9)
         pos[:, 2] = np.random.default_rng(9).normal(scale=0.1, size=pos.shape[0])
         field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
-        pk = pos[[p.k for p in field.pairs]]
-        pl = pos[[p.l for p in field.pairs]]
+        pk, pl = pos[field.pairs[:, 0]], pos[field.pairs[:, 1]]
         n, _, _, A, b = affine_normals(pos[field.ids], pk, pl)
         assert set(np.unique(field.alpha)) == {-1, 1}
         np.testing.assert_array_equal(field.A, field.alpha[:, None, None] * A)
@@ -100,16 +97,11 @@ class TestLinearize:
 
 
 class TestSupportPair:
-    def test_distinct_nodes_required(self):
-        with pytest.raises(ValueError):
-            SupportPair(1, 1, 2)
-
     def test_nearest_valid_pair_wins(self):
         p_i = np.zeros(3)
         ids = np.array([10, 11, 12])
         pos = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0.0]])  # 10 and 11 collinear with p_i
-        pair = select_support_pair(0, p_i, ids, pos, tol=1e-8)
-        assert (pair.k, pair.l) == (10, 12)
+        assert select_support_pair(0, p_i, ids, pos, tol=1e-8) == (10, 12)
 
     def test_k_advances_when_no_partner_fits(self):
         # all partners of candidate 0 are collinear; candidate 1 pairs with 2
@@ -134,6 +126,19 @@ class TestOrientation:
         alphas = orient_normals(pos, normals, k=4)
         oriented = normals * alphas[:, None]
         assert np.all(oriented[:, 2] > 0)
+
+    def test_parallel_horizontal_normals_all_agree(self):
+        # exactly parallel normals give zero orientation costs; the patch
+        # must still form one tree, since a lone node with n_z = 0 cannot
+        # orient itself
+        rng = np.random.default_rng(12)
+        pos = np.zeros((30, 3))
+        pos[:, 1:] = rng.uniform(0, 5, size=(30, 2))
+        normals = np.tile([1.0, 0, 0], (30, 1))
+        normals[rng.permutation(30)[:15]] *= -1  # scramble signs
+        alphas = orient_normals(pos, normals, k=4)
+        oriented = normals * alphas[:, None]
+        np.testing.assert_array_equal(oriented, np.tile(oriented[0], (30, 1)))
 
     def test_root_points_up(self):
         # single node: sign toward non-negative z
@@ -182,10 +187,12 @@ class TestEstimateNormalField:
     def test_support_pairs_come_from_opposite_class(self):
         pos, graph, bp = self._plane_setup()
         field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
-        for pair in field.pairs:
-            assert bp.assignment[pair.node] == RED
-            assert bp.assignment[pair.k] != RED
-            assert bp.assignment[pair.l] != RED
+        assert field.pairs.shape == (field.ids.size, 2)
+        for i, (k, l) in zip(field.ids, field.pairs):
+            assert k != l and i not in (k, l)
+            assert bp.assignment[i] == RED
+            assert bp.assignment[k] != RED
+            assert bp.assignment[l] != RED
 
     def test_linearization_matches_normal(self):
         pos, graph, bp = self._plane_setup(seed=8)
@@ -213,7 +220,7 @@ class TestEstimateNormalField:
         field, failed = estimate_normal_field(pos, graph, assignment, RED, k=2, tol=1e-6)
         assert 0 not in failed
         t = list(field.ids).index(0)
-        assert {field.pairs[t].k, field.pairs[t].l} <= {1, 2, 3}
+        assert set(field.pairs[t].tolist()) <= {1, 2, 3}
 
     def test_all_collinear_reports_failure(self):
         pos = np.zeros((6, 3))
