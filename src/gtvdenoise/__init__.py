@@ -23,7 +23,6 @@ from .errors import (
     DegenerateCloudError,
     GtvDenoiseError,
     MissingLinearizationError,
-    NoSupportPairError,
     UsageError,
 )
 from .graph import SpatialIndex, WeightedGraph, build_knn_graph, edge_weight, laplacian
@@ -33,7 +32,7 @@ from .normals import (
     affine_normals,
     estimate_normal_field,
     orient_normals,
-    select_support_pair,
+    support_pairs,
 )
 from .solver import (
     DenoiseParams,
@@ -80,16 +79,15 @@ __all__ = [
     "MissingLinearizationError",
     "NoiseSpec",
     "NormalField",
-    "NoSupportPairError",
     "orient_normals",
     "PointCloud",
     "p_update",
     "RED",
     "rescale_unit_diagonal",
     "save_cloud",
-    "select_support_pair",
     "soft_threshold",
     "SpatialIndex",
+    "support_pairs",
     "UsageError",
     "WeightedGraph",
     "__version__",

@@ -34,7 +34,6 @@ from .errors import (
     ConfigError,
     DegenerateCloudError,
     GtvDenoiseError,
-    NoSupportPairError,
     UsageError,
 )
 from .graph import build_knn_graph, edge_list_lines
@@ -58,16 +57,8 @@ _PARAM_FIELDS = {f.name: type(f.default) for f in dataclass_fields(DenoiseParams
 def _coerce(key: str, text: str):
     """Convert a config-file string to the type of the matching parameter."""
     kind = _PARAM_FIELDS[key]
-    text = text.strip()
-    if kind is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean for {key!r}, got {text!r}")
     try:
-        return kind(text)
+        return kind(text.strip())
     except ValueError as exc:
         raise ConfigError(f"expected {kind.__name__} for {key!r}, got {text!r}") from exc
 
@@ -347,12 +338,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("solver parameters",
                                       "override config file and defaults")
     for name, kind in _PARAM_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            group.add_argument(flag, default=None,
-                               action=argparse.BooleanOptionalAction)
-        else:
-            group.add_argument(flag, type=kind, default=None, metavar=kind.__name__)
+        group.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
+                           metavar=kind.__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +434,7 @@ def main(argv=None) -> int:
     except AdmmDivergenceError as exc:
         log.error("%s", exc)
         return EXIT_CONVERGENCE
-    except (DegenerateCloudError, NoSupportPairError) as exc:
+    except DegenerateCloudError as exc:
         log.error("%s", exc)
         return EXIT_DEGENERATE
     except GtvDenoiseError as exc:

@@ -37,14 +37,6 @@ class DegenerateCloudError(GtvDenoiseError):
     """Cloud unusable for the requested operation (too few / coincident points)."""
 
 
-class NoSupportPairError(GtvDenoiseError):
-    """No valid support pair could be found for a node."""
-
-    def __init__(self, node: int, message: str | None = None):
-        self.node = int(node)
-        super().__init__(message or f"no non-collinear support pair for node {node}")
-
-
 class MissingLinearizationError(GtvDenoiseError):
     """A graph node has no normal linearization attached."""
 

@@ -78,11 +78,10 @@ class SpatialIndex:
             idx[row] = idx[row][order]
             dist[row] = dist[row][order]
         if exclude_self:
-            out = np.empty((targets.shape[0], k), dtype=np.int64)
-            for row in range(targets.shape[0]):
-                keep = idx[row][idx[row] != row]
-                out[row] = keep[:k]
-            return out
+            # A stable sort on "is self" moves each row's own index to the
+            # back and keeps every other entry in (distance, index) order.
+            own = idx == np.arange(idx.shape[0])[:, None]
+            idx = np.take_along_axis(idx, np.argsort(own, axis=1, kind="stable"), axis=1)
         return idx[:, :k].astype(np.int64)
 
     def nearest(self, targets: np.ndarray) -> np.ndarray:

@@ -11,6 +11,10 @@ where skew(v) is the matrix with skew(v) @ x == v x x. Dividing by the
 norm at a chosen linearization point gives n_i ~ A p_i + b. Signs are
 made globally consistent with a minimum spanning tree walk. A class's
 models are kept as stacked arrays (see affine_normals).
+
+Support pairs are chosen for a whole class at once (support_pairs), one
+vectorized step per candidate rank; nodes left unpaired are retried
+together on the k, 2k, then 4k nearest nodes of the other class.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
-from .errors import NoSupportPairError
 from .graph import SpatialIndex, WeightedGraph, knn_adjacency
 
 DEFAULT_COLLINEARITY_TOL = 1e-8
@@ -68,37 +71,58 @@ def affine_normals(p_i: np.ndarray, p_k: np.ndarray, p_l: np.ndarray):
     return vec / norms[:, None], C, d, scale[:, None, None] * C, scale[:, None] * d
 
 
-def _is_valid_triple(p_i, p_k, p_l, tol: float) -> bool:
-    cross = np.cross(p_i - p_k, p_k - p_l)
-    return float(np.linalg.norm(cross)) > tol * float(
-        np.linalg.norm(p_i - p_k) * np.linalg.norm(p_k - p_l)
-    )
-
-
-def select_support_pair(
-    node: int,
+def support_pairs(
     p_i: np.ndarray,
-    candidate_ids: np.ndarray,
-    candidate_positions: np.ndarray,
+    cand: np.ndarray,
+    positions: np.ndarray,
     tol: float = DEFAULT_COLLINEARITY_TOL,
-) -> tuple[int, int]:
-    """First non-collinear (k, l) from distance-ordered candidates.
+) -> np.ndarray:
+    """First non-collinear support pair (k, l) of each row, or (-1, -1).
 
-    Candidates must already be sorted by (distance to p_i, index). k walks
-    the candidates nearest-first; for each k, l is the nearest other
-    candidate passing the collinearity test; if none passes, k advances.
+    Row t has node position p_i[t] and candidate ids cand[t], padded with
+    -1. Each row's candidates are ordered by (distance to p_i[t], id); k
+    walks them nearest-first, and for each k, l is the nearest other
+    candidate whose triple passes the collinearity test
+    ||(p_i - p_k) x (p_k - p_l)|| > tol * ||p_i - p_k|| * ||p_k - p_l||.
+    If no l passes, k advances. A row with fewer than two valid
+    candidates gets no pair. The work is one vectorized step per rank of
+    k, over the rows still unpaired.
     """
-    m = len(candidate_ids)
-    if m < 2:
-        raise NoSupportPairError(node, f"node {node}: only {m} opposite-class candidates")
     p_i = np.asarray(p_i, dtype=np.float64)
-    for a in range(m):
-        for b in range(m):
-            if b == a:
-                continue
-            if _is_valid_triple(p_i, candidate_positions[a], candidate_positions[b], tol):
-                return int(candidate_ids[a]), int(candidate_ids[b])
-    raise NoSupportPairError(node)
+    cand = np.asarray(cand, dtype=np.int64)
+    real = cand >= 0
+    pos = positions[np.where(real, cand, 0)]
+    dist = np.where(real, np.linalg.norm(pos - p_i[:, None], axis=2), np.inf)
+    order = np.lexsort((cand, dist), axis=1)
+    cand = np.take_along_axis(cand, order, axis=1)
+    real = np.take_along_axis(real, order, axis=1)
+    pos = np.take_along_axis(pos, order[:, :, None], axis=1)
+
+    pairs = np.full((p_i.shape[0], 2), -1, dtype=np.int64)
+    for a in range(cand.shape[1]):
+        rows = np.flatnonzero((pairs[:, 0] < 0) & real[:, a])
+        if rows.size == 0:
+            continue
+        p_k = pos[rows, a]
+        to_k = p_i[rows] - p_k
+        to_l = p_k[:, None] - pos[rows]
+        cross = np.cross(to_k[:, None], to_l)
+        scale = np.linalg.norm(to_k, axis=1)[:, None] * np.linalg.norm(to_l, axis=2)
+        # l == k fails the test by itself: its cross product is exactly 0.
+        ok = (np.linalg.norm(cross, axis=2) > tol * scale) & real[rows]
+        hit = ok.any(axis=1)
+        rows = rows[hit]
+        pairs[rows, 0] = cand[rows, a]
+        pairs[rows, 1] = cand[rows, np.argmax(ok[hit], axis=1)]
+    return pairs
+
+
+def _padded(row: np.ndarray, ids: np.ndarray, m: int) -> np.ndarray:
+    """(m, K) array of ids grouped by ascending row, padded with -1."""
+    counts = np.bincount(row, minlength=m)
+    out = np.full((m, counts.max(initial=0)), -1, dtype=np.int64)
+    out[row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]] = ids
+    return out
 
 
 def orient_normals(positions: np.ndarray, normals: np.ndarray, k: int) -> np.ndarray:
@@ -152,65 +176,45 @@ def estimate_normal_field(
     positions are the current coordinates of all nodes; graph is the
     original k-NN graph (fixed topology); assignment maps nodes to
     classes. For each node of opt_class the candidate pool is its graph
-    neighbors of the other class, ordered by current distance; when that
-    pool is too small or fully collinear, a global query over the other
-    class expands it (k, then 2k, then 4k candidates, capped). Nodes with
-    no valid pair are skipped and returned in the failure list.
+    neighbors of the other class, taken from the rows of graph.adjacency;
+    support_pairs picks every node's pair from these pools in one batched
+    call. The nodes left without a pair (pool too small or fully
+    collinear) are retried together on the k, then 2k, then 4k nearest
+    nodes of the other class (capped at its size). Nodes with no valid
+    pair are skipped and returned, ascending, in the failure list.
     """
     positions = np.asarray(positions, dtype=np.float64)
     assignment = np.asarray(assignment)
     opt_ids = np.flatnonzero(assignment == opt_class)
     other_ids = np.flatnonzero(assignment != opt_class)
-    other_index: SpatialIndex | None = None
+    p_opt = positions[opt_ids]
 
-    pairs: list[tuple[int, int]] = []
-    ok_ids: list[int] = []
-    failed: list[int] = []
-    adj = graph.adjacency
+    rows = graph.adjacency[opt_ids]
+    row_of = np.repeat(np.arange(opt_ids.size), np.diff(rows.indptr))
+    keep = assignment[rows.indices] != opt_class
+    pairs = support_pairs(p_opt, _padded(row_of[keep], rows.indices[keep], opt_ids.size),
+                          positions, tol)
 
-    def ordered(ids: np.ndarray, p_i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = positions[ids]
-        dist = np.linalg.norm(pos - p_i, axis=1)
-        order = np.lexsort((ids, dist))
-        return ids[order], pos[order]
+    miss = np.flatnonzero(pairs[:, 0] < 0)
+    if miss.size and other_ids.size >= 2:
+        other_index = SpatialIndex(positions[other_ids])
+        for kk in (k, 2 * k, 4 * k):
+            kk = min(kk, other_ids.size)
+            cand = other_ids[other_index.query_knn(p_opt[miss], kk)]
+            pairs[miss] = support_pairs(p_opt[miss], cand, positions, tol)
+            miss = miss[pairs[miss, 0] < 0]
+            if miss.size == 0 or kk == other_ids.size:
+                break
 
-    for i in opt_ids:
-        i = int(i)
-        p_i = positions[i]
-        nbrs = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
-        local = nbrs[assignment[nbrs] != opt_class]
-        pair = None
-        try:
-            ids_o, pos_o = ordered(local, p_i)
-            pair = select_support_pair(i, p_i, ids_o, pos_o, tol)
-        except NoSupportPairError:
-            if other_index is None and other_ids.size >= 2:
-                other_index = SpatialIndex(positions[other_ids])
-            if other_index is not None:
-                for kk in (k, 2 * k, 4 * k):
-                    kk = min(kk, other_ids.size)
-                    cand = other_ids[other_index.query_knn(p_i, kk)[0]]
-                    try:
-                        ids_o, pos_o = ordered(cand, p_i)
-                        pair = select_support_pair(i, p_i, ids_o, pos_o, tol)
-                        break
-                    except NoSupportPairError:
-                        if kk == other_ids.size:
-                            break
-        if pair is None:
-            failed.append(i)
-        else:
-            pairs.append(pair)
-            ok_ids.append(i)
-
-    if not ok_ids:
+    ok = pairs[:, 0] >= 0
+    failed = opt_ids[~ok].tolist()
+    if not ok.any():
         empty = np.zeros((0, 3))
         return NormalField(np.array([], dtype=np.int64), empty, np.zeros((0, 3, 3)),
                            empty, np.zeros(0, dtype=np.int8),
                            np.zeros((0, 2), dtype=np.int64)), failed
 
-    ids_arr = np.array(ok_ids, dtype=np.int64)
-    pairs_arr = np.array(pairs, dtype=np.int64)
+    ids_arr, pairs_arr = opt_ids[ok], pairs[ok]
     pi = positions[ids_arr]
     raw, _, _, A, b = affine_normals(pi, positions[pairs_arr[:, 0]], positions[pairs_arr[:, 1]])
     alphas = orient_normals(pi, raw, k)

@@ -66,7 +66,6 @@ class DenoiseParams:
     collinearity_tol: float = DEFAULT_COLLINEARITY_TOL
     start_node: int = 0
     view_hops: int = 2
-    recompute_bipartition: bool = False
     window_budget: int = 20000   # clouds above this size are solved in windows
 
     def __post_init__(self):
@@ -509,11 +508,6 @@ def _denoise_core(
     p_cur = q_obs.copy()
     skipped = 0
     for outer in range(1, params.outer_max_iter + 1):
-        if params.recompute_bipartition and outer > 1:
-            graph = build_knn_graph(p_cur, min(params.k, p_cur.shape[0] - 1), params.sigma_p)
-            bp = approximate_bipartite(
-                graph, params.delta, params.start_node, view_hops=params.view_hops
-            )
         prev = p_cur.copy()
         for cls, name in ((RED, "red"), (BLUE, "blue")):
             skipped += _class_pass(

@@ -66,9 +66,10 @@ class TestConfigParsing:
         import argparse
 
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("sigma = 0.1\nseed = 3\n")
+        # recompute_bipartition was a solver parameter; old echoes still load
+        cfg.write_text("sigma = 0.1\nseed = 3\nrecompute_bipartition = False\n")
         _, extra = build_params(str(cfg), argparse.Namespace())
-        assert extra == {"sigma": "0.1", "seed": "3"}
+        assert extra == {"sigma": "0.1", "seed": "3", "recompute_bipartition": "False"}
 
     def test_invalid_value_rejected(self, tmp_path):
         import argparse

@@ -42,6 +42,18 @@ class TestSpatialIndex:
         nbrs = SpatialIndex(pts).query_knn(pts, 2, exclude_self=True)
         np.testing.assert_array_equal(nbrs[0], [1, 2])
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_exclude_self_among_duplicates(self, k):
+        # every point 6 times over: each row's own index sits inside a run
+        # of distance-0 ties, often not first in it
+        rng = np.random.default_rng(3)
+        pts = np.repeat(rng.normal(size=(10, 3)), 6, axis=0)[rng.permutation(60)]
+        index = SpatialIndex(pts)
+        full = index.query_knn(pts, k + 1)
+        want = np.array([row[row != i][:k] for i, row in enumerate(full)])
+        assert sum(row[0] != i for i, row in enumerate(full)) > 20
+        np.testing.assert_array_equal(index.query_knn(pts, k, exclude_self=True), want)
+
     def test_tie_run_across_candidate_cutoff(self):
         # 8 corners of a cube are all equidistant from the center
         corners = np.array(

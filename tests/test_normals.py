@@ -4,20 +4,77 @@ import numpy as np
 import pytest
 
 from gtvdenoise.bipartite import RED, approximate_bipartite
-from gtvdenoise.errors import NoSupportPairError
 from gtvdenoise.graph import build_knn_graph
 from gtvdenoise.normals import (
+    DEFAULT_COLLINEARITY_TOL,
     affine_normals,
     estimate_normal_field,
     normal_field_lines,
     orient_normals,
-    select_support_pair,
+    support_pairs,
 )
 
 
 def one_model(p_i, p_k, p_l):
     """(n, C, d, A, b) of a single triple."""
     return [x[0] for x in affine_normals([p_i], [p_k], [p_l])]
+
+
+def one_row(p_i, ids, pos, tol=DEFAULT_COLLINEARITY_TOL):
+    """support_pairs on a single row: the pair (k, l), or None."""
+    positions = np.zeros((max(ids) + 1, 3))
+    positions[ids] = pos
+    k, l = support_pairs(np.asarray(p_i, dtype=float)[None], np.asarray(ids)[None],
+                         positions, tol)[0]
+    return None if k < 0 else (int(k), int(l))
+
+
+def reference_pairs(p_i, cand, positions, tol):
+    """Node-by-node nested (k, l) scan over (distance, id)-ordered candidates."""
+    out = np.full((cand.shape[0], 2), -1)
+    for t, row in enumerate(cand):
+        ids = row[row >= 0]
+        pos = positions[ids]
+        order = np.lexsort((ids, np.linalg.norm(pos - p_i[t], axis=1)))
+        ids, pos = ids[order], pos[order]
+        pairs = (
+            (ids[a], ids[b])
+            for a in range(ids.size) for b in range(ids.size)
+            if b != a and np.linalg.norm(np.cross(p_i[t] - pos[a], pos[a] - pos[b]))
+            > tol * (np.linalg.norm(p_i[t] - pos[a]) * np.linalg.norm(pos[a] - pos[b]))
+        )
+        out[t] = next(pairs, (-1, -1))
+    return out
+
+
+def random_candidates(rng, rows, width, lattice):
+    """Node positions, (rows, width) candidate ids padded with -1, and positions.
+
+    Each row's candidates sit in their own block of positions, with planted
+    collinear, near-collinear (bend 1e-5) and coincident triples; lattice
+    coordinates add exact distance ties. Rows hold 0 to width candidates,
+    with the -1 padding shuffled in.
+    """
+    size = (rows * width, 3)
+    positions = rng.integers(-2, 3, size).astype(float) if lattice else rng.normal(size=size)
+    p_i = rng.integers(-2, 3, (rows, 3)).astype(float) if lattice else rng.normal(size=(rows, 3))
+    cand = np.full((rows, width), -1)
+    for t in range(rows):
+        block = t * width + np.arange(width)
+        d = rng.normal(size=3)
+        kind = rng.integers(4)
+        if kind == 1:    # the nearest candidates lie on a line through p_i
+            positions[block[:3]] = p_i[t] + np.outer([0.1, 0.2, 0.3], d)
+        elif kind == 2:  # near-collinear: valid at tol 1e-8, not at 1e-3
+            positions[block[:2]] = p_i[t] + np.outer([0.1, 0.2], d)
+            positions[block[1]] += 1e-5 * 0.2 * np.cross(d, rng.normal(size=3))
+        elif kind == 3:  # coincident candidates, one on p_i itself
+            positions[block[1]] = positions[block[0]]
+            positions[block[2]] = p_i[t]
+        n = rng.integers(width + 1)
+        cand[t, :n] = rng.permutation(block)[:n]
+        rng.shuffle(cand[t])
+    return p_i, cand, positions
 
 
 class TestSkewAndCoefficients:
@@ -60,18 +117,15 @@ class TestRawNormal:
 
     def test_collinear_rejected(self):
         # a collinear triple has no normal: it is never chosen as support
-        with pytest.raises(NoSupportPairError):
-            select_support_pair(0, np.zeros(3), np.array([1, 2]),
-                                np.array([[1, 0, 0.0], [2, 0, 0.0]]))
+        assert one_row(np.zeros(3), [1, 2], [[1, 0, 0.0], [2, 0, 0.0]]) is None
 
     def test_near_collinear_tolerance(self):
         # bend of ~1e-6 rad: passes at tol 1e-8, rejected at tol 1e-3
         p_i = np.zeros(3)
-        ids = np.array([1, 2])
-        pos = np.array([[1.0, 1e-6, 0.0], [2.0, 0.0, 0.0]])
-        assert select_support_pair(0, p_i, ids, pos, tol=1e-8) == (1, 2)
-        with pytest.raises(NoSupportPairError):
-            select_support_pair(0, p_i, ids, pos, tol=1e-3)
+        ids = [1, 2]
+        pos = [[1.0, 1e-6, 0.0], [2.0, 0.0, 0.0]]
+        assert one_row(p_i, ids, pos, tol=1e-8) == (1, 2)
+        assert one_row(p_i, ids, pos, tol=1e-3) is None
 
 
 class TestLinearize:
@@ -99,21 +153,38 @@ class TestLinearize:
 class TestSupportPair:
     def test_nearest_valid_pair_wins(self):
         p_i = np.zeros(3)
-        ids = np.array([10, 11, 12])
-        pos = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0.0]])  # 10 and 11 collinear with p_i
-        assert select_support_pair(0, p_i, ids, pos, tol=1e-8) == (10, 12)
+        ids = [10, 11, 12]
+        pos = [[1, 0, 0], [2, 0, 0], [0, 1, 0.0]]  # 10 and 11 collinear with p_i
+        assert one_row(p_i, ids, pos, tol=1e-8) == (10, 12)
 
     def test_k_advances_when_no_partner_fits(self):
         # all partners of candidate 0 are collinear; candidate 1 pairs with 2
         p_i = np.zeros(3)
-        ids = np.array([5, 6, 7])
-        pos = np.array([[1, 0, 0], [2, 0, 0], [3, 0, 0.0]])
-        with pytest.raises(NoSupportPairError):
-            select_support_pair(0, p_i, ids, pos, tol=1e-8)
+        ids = [5, 6, 7]
+        pos = [[1, 0, 0], [2, 0, 0], [3, 0, 0.0]]
+        assert one_row(p_i, ids, pos, tol=1e-8) is None
 
     def test_too_few_candidates(self):
-        with pytest.raises(NoSupportPairError):
-            select_support_pair(0, np.zeros(3), np.array([4]), np.ones((1, 3)), 1e-8)
+        assert one_row(np.zeros(3), [4], np.ones((1, 3)), 1e-8) is None
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    def test_batched_rule_matches_nested_scan(self, tol, lattice):
+        rng = np.random.default_rng(20 + lattice)
+        p_i, cand, positions = random_candidates(rng, 300, 7, lattice)
+        got = support_pairs(p_i, cand, positions, tol)
+        want = reference_pairs(p_i, cand, positions, tol)
+        np.testing.assert_array_equal(got, want)
+        # every outcome occurs: no pair, a pair on the first k, a later k
+        assert (want[:, 0] < 0).sum() > 10
+        nearest = [row[row >= 0][np.lexsort((row[row >= 0], np.linalg.norm(
+            positions[row[row >= 0]] - p, axis=1)))][:1] for p, row in zip(p_i, cand)]
+        first = np.array([w[0] >= 0 and w[0] == n[0] for w, n in zip(want, nearest)])
+        assert first.sum() > 10 and (~first & (want[:, 0] >= 0)).sum() > 0
+
+    def test_no_rows(self):
+        assert support_pairs(np.zeros((0, 3)), np.zeros((0, 0), dtype=int),
+                             np.zeros((4, 3))).shape == (0, 2)
 
 
 class TestOrientation:
