@@ -5,7 +5,9 @@ matrix L + delta*I. Nodes are assigned one at a time, in BFS order, to
 one of two classes (red / blue); intra-class edges are dropped. Each
 assignment picks the class whose resulting field stays closest to the
 original in Kullback-Leibler divergence, evaluated on a local view of
-the graph around the candidate node so the cost stays bounded.
+the graph around the candidate node so the cost stays bounded: the
+view's dense weight matrix W scores each candidate class by the field of
+W with only its cross-class weights kept.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def _logdet(a: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
 
 
+def _divergence(logdet_o: float, sigma: np.ndarray, p_b: np.ndarray) -> float:
+    """0.5 * (tr(P_b Sigma) + logdet(P_o) - logdet(P_b) - n), with Sigma = P_o^-1."""
+    trace = float(np.sum(p_b * sigma))
+    return 0.5 * (trace + logdet_o - _logdet(p_b) - p_b.shape[0])
+
+
+def _dense_laplacian(w: np.ndarray) -> np.ndarray:
+    """L(W) = diag(W 1) - W of a dense symmetric weight matrix."""
+    return np.diag(w.sum(axis=1)) - w
+
+
 def kld(l_orig, l_bip, delta: float) -> float:
     """Divergence of the field (l_bip + delta*I)^-1 from (l_orig + delta*I)^-1.
 
@@ -93,29 +106,12 @@ def kld(l_orig, l_bip, delta: float) -> float:
     b = np.asarray(l_bip.toarray() if hasattr(l_bip, "toarray") else l_bip, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"Laplacian shapes must match and be square, got {a.shape} and {b.shape}")
-    n = a.shape[0]
-    eye = np.eye(n)
-    p_o = a + delta * eye
-    p_b = b + delta * eye
+    eye = np.eye(a.shape[0])
     try:
-        logdet_o, sigma = _logdet_and_inverse(p_o)
-        logdet_b = _logdet(p_b)
+        logdet_o, sigma = _logdet_and_inverse(a + delta * eye)
+        return _divergence(logdet_o, sigma, b + delta * eye)
     except LinAlgError as exc:
         raise ValueError("Laplacian plus delta*I is not positive definite") from exc
-    trace = float(np.sum(p_b * sigma))
-    return 0.5 * (trace + logdet_o - logdet_b - n)
-
-
-def _add_edges(lap: np.ndarray, la: np.ndarray, lb: np.ndarray, w: np.ndarray) -> None:
-    """Add edges (la, lb, w) to a dense Laplacian in place.
-
-    Each diagonal entry accumulates its edges in the given order, so edges
-    passed in lexicographic order reproduce an edge-by-edge loop bit for bit.
-    """
-    lap[la, lb] -= w
-    lap[lb, la] -= w
-    ends = np.stack([la, lb], axis=1).ravel()
-    np.add.at(lap, (ends, ends), np.repeat(w, 2))
 
 
 class _GreedyState:
@@ -142,44 +138,35 @@ class _GreedyState:
         return ball[(self.assign[ball] >= 0) | (ball == c)]
 
     def candidate_divergences(self, c: int) -> tuple[float, float]:
-        """KLD of assigning c to red / to blue, on the local view."""
+        """KLD of assigning c to red / to blue, on the local view.
+
+        The view's weights W give P_o = L(W) + delta*I; candidate g gives
+        P_g = L(W masked to pairs of differing class, c in class g) + delta*I.
+        """
         view = self.local_view(c)
         n = view.size
         self.local[view] = np.arange(n)
         lc = self.local[c]
-        delta = self.delta
-
-        # Edges among view nodes in lexicographic (la, lb) order, la < lb: the
-        # adjacency rows of the view, read in order through positions pos.
+        # The adjacency rows of the view, read through positions pos; every
+        # entry whose column lies in the view is a weight of W.
         starts = self.adj.indptr[view]
         counts = self.adj.indptr[view + 1] - starts
         pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        la = np.repeat(np.arange(n), counts)
-        lb = self.local[self.adj.indices[pos]]
-        keep = lb > la
-        la, lb, w = la[keep], lb[keep], self.adj.data[pos][keep]
+        rows = np.repeat(np.arange(n), counts)
+        cols = self.local[self.adj.indices[pos]]
         self.local[view] = -1
+        inside = cols >= 0
+        w = np.zeros((n, n))
+        w[rows[inside], cols[inside]] = self.adj.data[pos[inside]]
 
+        delta_eye = self.delta * np.eye(n)
+        logdet_o, sigma = _logdet_and_inverse(_dense_laplacian(w) + delta_eye)
         cls = self.assign[view]
-        at_c = (la == lc) | (lb == lc)
-        other_cls = np.where(la == lc, cls[lb], cls[la])  # class of c's neighbor
-        base = ~at_c & (cls[la] != cls[lb])  # kept edges among assigned view nodes
-
-        eye = np.eye(n)
-        l_orig = np.zeros((n, n))
-        _add_edges(l_orig, la, lb, w)
-        logdet_o, sigma = _logdet_and_inverse(l_orig + delta * eye)
-        l_base = np.zeros((n, n))
-        _add_edges(l_base, la[base], lb[base], w[base])
-
         out = []
         for g in (RED, BLUE):
-            kept = at_c & (other_cls != g)  # cross-class edges at c survive
-            l_b = l_base.copy()
-            _add_edges(l_b, la[kept], lb[kept], w[kept])
-            p_b = l_b + delta * eye
-            trace = float(np.sum(p_b * sigma))
-            out.append(0.5 * (trace + logdet_o - _logdet(p_b) - n))
+            cls[lc] = g
+            cross = w * (cls[:, None] != cls[None, :])
+            out.append(_divergence(logdet_o, sigma, _dense_laplacian(cross) + delta_eye))
         return out[0], out[1]
 
 

@@ -217,7 +217,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     params, _ = build_params(args.config, args)
     cloud = load_cloud(args.input, args.input_format)
-    graph = build_knn_graph(cloud, params.k, params.sigma_p)
+    if params.start_node >= cloud.n:
+        raise ConfigError(f"start_node {params.start_node} out of range for {cloud.n} points")
+    graph = build_knn_graph(cloud, min(params.k, cloud.n - 1), params.sigma_p)
     if args.what == "graph":
         lines = edge_list_lines(graph)
     else:

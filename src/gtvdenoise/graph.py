@@ -71,12 +71,9 @@ class SpatialIndex:
             pad_d[unsafe] = d2
             pad_i[unsafe] = i2
             dist, idx = pad_d, pad_i
-        # Stable (distance, index) order; only rows with exact ties need it.
-        tied = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
-        for row in np.flatnonzero(tied):
-            order = np.lexsort((idx[row], dist[row]))
-            idx[row] = idx[row][order]
-            dist[row] = dist[row][order]
+        # (distance, index) order in every row; rows without exact ties keep
+        # the tree's order.
+        idx = np.take_along_axis(idx, np.lexsort((idx, dist), axis=1), axis=1)
         if exclude_self:
             # A stable sort on "is self" moves each row's own index to the
             # back and keeps every other entry in (distance, index) order.

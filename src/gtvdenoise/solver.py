@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix, identity
 
 from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
-from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
+from .errors import (AdmmDivergenceError, ConfigError, DegenerateCloudError,
+                     MissingLinearizationError)
 from .graph import WeightedGraph, build_knn_graph, knn_adjacency
 from .normals import DEFAULT_COLLINEARITY_TOL, estimate_normal_field
 
@@ -69,13 +70,17 @@ class DenoiseParams:
     window_budget: int = 20000   # clouds above this size are solved in windows
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for f in fields(self):
+            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("gamma", "collinearity_tol", "start_node"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("rho", "sigma_p", "delta", "cg_tol", "admm_tol", "outer_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("k", "cg_max_iter", "admm_max_iter", "outer_max_iter",
-                     "window_budget"):
+                     "view_hops", "window_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -460,7 +465,8 @@ def denoise(
     blue ADMM passes until the relative position change drops below
     outer_tol. Nodes without a valid support pair stay at their observed
     positions. Clouds larger than window_budget are solved in overlapping
-    spatial windows.
+    spatial windows. A start_node that is not a point index of the cloud
+    raises ConfigError.
 
     The solve runs on centroid-centred coordinates, because the CG stopping
     rule is relative to a right-hand side that grows with the distance from
@@ -475,6 +481,8 @@ def denoise(
         params = DenoiseParams()
     if cloud.n < 4:
         raise DegenerateCloudError(f"denoising needs at least 4 points, got {cloud.n}")
+    if params.start_node >= cloud.n:
+        raise ConfigError(f"start_node {params.start_node} out of range for {cloud.n} points")
     diag = DiagnosticsReport()
     diag.meta["points"] = cloud.n
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
@@ -530,7 +538,9 @@ def _denoise_windowed(
 
     Every point is placed by the one window whose core holds it; halo
     points only provide boundary context. Window layout is a deterministic
-    function of the input positions.
+    function of the input positions. The window whose core holds
+    params.start_node starts its bipartition there; every other window
+    starts at its lowest-index point.
     """
     windows = _window_layout(q_obs, params)
     oversized = sum(members.size > params.window_budget for _, members in windows)
@@ -548,9 +558,10 @@ def _denoise_windowed(
         if member_ids.size < 4:
             diag.meta["window_skips"] = diag.meta.get("window_skips", 0) + 1
             continue  # too small to denoise; core keeps observed positions
-        solved = _denoise_core(
-            q_obs[member_ids], params, diag, label_prefix=f"w{w_idx}:"
-        )
+        own = params.start_node in core_ids
+        start = int(np.searchsorted(member_ids, params.start_node)) if own else 0
+        window_params = replace(params, start_node=start)
+        solved = _denoise_core(q_obs[member_ids], window_params, diag, label_prefix=f"w{w_idx}:")
         out[core_ids] = solved[np.searchsorted(member_ids, core_ids)]
     return out
 

@@ -264,6 +264,16 @@ class TestInspectCommand:
         # flat cloud: normals along +-z
         assert abs(float(first[3])) == pytest.approx(1.0, abs=1e-6)
 
+    def test_cloud_with_at_most_k_points(self, plane_file, tmp_path, capsys):
+        path = tmp_path / "six.xyz"
+        save_cloud(PointCloud(load_cloud(str(plane_file)).positions[[0, 1, 2, 8, 9, 17]]),
+                   str(path))
+        for what in ("graph", "bipartition", "normals"):
+            assert main(["-q", "inspect", str(path), what]) == EXIT_OK
+            assert capsys.readouterr().out
+        assert main(["-q", "inspect", str(path), "bipartition",
+                     "--start-node", "6"]) == EXIT_USAGE
+
 
 class TestBenchCommand:
     def test_single_model_run(self, plane_file, tmp_path, capsys):
@@ -323,6 +333,20 @@ class TestExitCodes:
         assert code == EXIT_CONVERGENCE
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and "non-finite" in errors[0].getMessage()
+
+    @pytest.mark.parametrize("flag", [
+        ["--rho", "nan"], ["--gamma", "nan"], ["--delta", "nan"], ["--admm-tol", "nan"],
+        ["--sigma-p", "inf"], ["--collinearity-tol", "-1"], ["--view-hops", "0"],
+        ["--start-node", "-1"], ["--start-node", "40"],
+    ], ids=" ".join)
+    def test_out_of_range_parameters_usage(self, plane_file, tmp_path, caplog, flag):
+        pts = load_cloud(str(plane_file)).positions[:40]
+        path = tmp_path / "c40.xyz"
+        save_cloud(PointCloud(pts), str(path))
+        code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz"), *flag])
+        assert code == EXIT_USAGE
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert not (tmp_path / "o.xyz").exists()
 
     def test_bad_config_usage(self, plane_file, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from gtvdenoise.cloud import PointCloud, add_gaussian_noise, NoiseSpec
-from gtvdenoise.errors import DegenerateCloudError, MissingLinearizationError
+from gtvdenoise.errors import ConfigError, DegenerateCloudError, MissingLinearizationError
 from gtvdenoise.graph import SpatialIndex, WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import c2p
 from gtvdenoise.normals import affine_normals
@@ -66,6 +66,14 @@ class TestDenoiseParams:
             DenoiseParams(k=0)
         with pytest.raises(ValueError):
             DenoiseParams(admm_max_iter=0)
+        for bad in (dict(collinearity_tol=-1e-8), dict(view_hops=0), dict(start_node=-1)):
+            with pytest.raises(ValueError):
+                DenoiseParams(**bad)
+        for name in ("gamma", "rho", "sigma_p", "delta", "cg_tol", "admm_tol",
+                     "outer_tol", "collinearity_tol"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    DenoiseParams(**{name: value})
 
     def test_as_dict_roundtrip(self):
         p = DenoiseParams(gamma=0.1, admm_tol=1e-4)
@@ -459,6 +467,33 @@ class TestDenoiseEndToEnd:
         assert diag.meta["windows"] == 1
         assert diag.meta["window_points"] == noisy.n
         assert diag.meta["windows_oversized"] == 0
+
+    def test_start_node_beyond_the_cloud_is_a_config_error(self):
+        _, noisy = self._noisy_plane(n_side=5)
+        with pytest.raises(ConfigError, match="start_node 25 out of range"):
+            denoise(noisy, DenoiseParams(start_node=noisy.n))
+
+    def test_windowed_bipartition_starts_at_start_node(self, monkeypatch):
+        # start_node 450 is valid for the cloud but not for every window; the
+        # window whose core holds it starts there, the others at local 0
+        clean = rounded_box(800, 0.7, 2.0, seed=1)
+        noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=1))
+        params = DenoiseParams(window_budget=500, start_node=450, outer_max_iter=1,
+                               admm_max_iter=5)
+        starts = []
+
+        def spy(graph, delta, start_node, **kwargs):
+            starts.append(start_node)
+            return approximate_bipartite(graph, delta, start_node, **kwargs)
+
+        approximate_bipartite = solver.approximate_bipartite
+        monkeypatch.setattr(solver, "approximate_bipartite", spy)
+        out, diag = denoise(noisy, params)
+        assert np.all(np.isfinite(out.positions))
+        expect = [int(np.searchsorted(members, 450)) if 450 in core else 0
+                  for core, members in _window_layout(noisy.positions, params)]
+        assert diag.meta["windows"] == len(starts) > 1
+        assert starts == expect and sum(s > 0 for s in starts) == 1
 
     def test_window_cores_partition_and_halos_cover_the_hops(self):
         clean = rounded_box(800, 0.7, 2.0, seed=7)
