@@ -1,13 +1,20 @@
 """Bipartite approximation of a weighted graph.
 
 A graph is interpreted as a Gauss-Markov random field with precision
-matrix L + delta*I. Nodes are assigned one at a time, in BFS order, to
-one of two classes (red / blue); intra-class edges are dropped. Each
-assignment picks the class whose resulting field stays closest to the
-original in Kullback-Leibler divergence, evaluated on a local view of
-the graph around the candidate node so the cost stays bounded: the
-view's dense weight matrix W scores each candidate class by the field of
-W with only its cross-class weights kept.
+matrix L + delta*I. Nodes, ranked in BFS order, are assigned to one of
+two classes (red / blue); intra-class edges are dropped. Each assignment
+picks the class whose resulting field stays closest to the original in
+Kullback-Leibler divergence, evaluated on a local view of the graph
+around the candidate node so the cost stays bounded: the view holds the
+node and its earlier-rank nodes within view_hops, and the view's dense
+weight matrix W scores each candidate class by the field of W with only
+its cross-class weights kept.
+
+A node's score depends only on the classes of its view, so nodes fall
+into dependency levels: level 0 when the view is the node alone, else 1
++ the highest level in the view. No two nodes of a level are in each
+other's view, so one batched step scores a whole level: the views are
+zero-padded into one stack and factored by one Cholesky call.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 from scipy.sparse import csr_matrix, identity
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .graph import WeightedGraph
 
@@ -48,6 +55,7 @@ class Bipartition:
 
     assignment: np.ndarray
     trace: list[GreedyStep] | None = field(default=None, repr=False)
+    levels: int = 0  # dependency levels the greedy scored, the seed's included
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int8).ravel()
@@ -68,27 +76,18 @@ class Bipartition:
         return np.flatnonzero(self.assignment == BLUE)
 
 
-def _logdet_and_inverse(a: np.ndarray):
-    fac = cho_factor(a, lower=False, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
-    inv = cho_solve(fac, np.eye(a.shape[0]), check_finite=False)
-    return logdet, inv
+def _divergences(p: np.ndarray) -> np.ndarray:
+    """Divergences of the fields p[g]^-1, g >= 1, from the field p[0]^-1.
 
-
-def _logdet(a: np.ndarray) -> float:
-    fac = cho_factor(a, lower=False, check_finite=False)
-    return 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
-
-
-def _divergence(logdet_o: float, sigma: np.ndarray, p_b: np.ndarray) -> float:
-    """0.5 * (tr(P_b Sigma) + logdet(P_o) - logdet(P_b) - n), with Sigma = P_o^-1."""
-    trace = float(np.sum(p_b * sigma))
-    return 0.5 * (trace + logdet_o - _logdet(p_b) - p_b.shape[0])
-
-
-def _dense_laplacian(w: np.ndarray) -> np.ndarray:
-    """L(W) = diag(W 1) - W of a dense symmetric weight matrix."""
-    return np.diag(w.sum(axis=1)) - w
+    p stacks precision matrices as (G + 1, ..., n, n). Returns the (G, ...)
+    values 0.5 * (tr(P_g Sigma) + logdet(P_o) - logdet(P_g) - n) with
+    P_o = p[0] and Sigma = P_o^-1. Raises LinAlgError unless every matrix
+    is positive definite.
+    """
+    chol = np.linalg.cholesky(p)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    trace = np.sum(p[1:] * np.linalg.inv(p[0]), axis=(-2, -1))
+    return 0.5 * (trace + logdet[0] - logdet[1:] - p.shape[-1])
 
 
 def kld(l_orig, l_bip, delta: float) -> float:
@@ -106,68 +105,144 @@ def kld(l_orig, l_bip, delta: float) -> float:
     b = np.asarray(l_bip.toarray() if hasattr(l_bip, "toarray") else l_bip, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"Laplacian shapes must match and be square, got {a.shape} and {b.shape}")
-    eye = np.eye(a.shape[0])
+    eye = delta * np.eye(a.shape[0])
     try:
-        logdet_o, sigma = _logdet_and_inverse(a + delta * eye)
-        return _divergence(logdet_o, sigma, b + delta * eye)
+        return float(_divergences(np.stack([a + eye, b + eye]))[0])
     except LinAlgError as exc:
         raise ValueError("Laplacian plus delta*I is not positive definite") from exc
 
 
-class _GreedyState:
-    """Working state for one bipartition run over one graph."""
+def _entries(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions starts[i] + 0 .. counts[i] - 1 for each i in turn, and each one's i."""
+    owner = np.repeat(np.arange(starts.size), counts)
+    return np.arange(counts.sum()) + (starts - np.cumsum(counts) + counts)[owner], owner
 
-    def __init__(self, graph: WeightedGraph, delta: float, view_hops: int):
-        self.adj = graph.adjacency
+
+def _balls(adj: csr_matrix, hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted CSR pattern (indices, indptr) of (I + A)^hops.
+
+    Row c holds every node within hops of c. Only the pattern is returned,
+    so the product's values are freed on return.
+    """
+    n = adj.shape[0]
+    step = csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
+                      shape=(n, n)) + identity(n, format="csr")
+    reach = step
+    for _ in range(hops - 1):
+        reach = reach @ step
+        reach.data[:] = 1.0
+    reach.sort_indices()
+    return reach.indices, reach.indptr
+
+
+class _LevelGreedy:
+    """Working state of one bipartition run, with nodes relabelled by BFS rank."""
+
+    def __init__(self, adj: csr_matrix, order: np.ndarray, delta: float, view_hops: int,
+                 record_trace: bool):
+        n = order.size
+        self.order = order
         self.delta = delta
-        self.assign = np.full(graph.node_count, -1, dtype=np.int8)
-        self.local = np.full(graph.node_count, -1, dtype=np.int64)  # global -> view index
-        # Pattern of (I + A)^view_hops: row c holds every node within view_hops of c.
-        step = csr_matrix((np.ones(self.adj.nnz), self.adj.indices, self.adj.indptr),
-                          shape=self.adj.shape) + identity(graph.node_count, format="csr")
-        reach = step
-        for _ in range(view_hops - 1):
-            reach = reach @ step
-            reach.data[:] = 1.0
-        reach.sort_indices()
-        self.reach = reach
+        self.adj = adj[order][:, order]
+        self.adj.sort_indices()
+        self.degree = np.diff(self.adj.indptr)
+        self.ball, indptr = _balls(self.adj, view_hops)
+        self.ball_start, self.ball_count = indptr[:-1], np.diff(indptr)
+        # In rank labels a node's view, its in-ball nodes of rank <= its own,
+        # is a prefix of its sorted ball that ends with the node itself; the
+        # rest of the ball lists the later nodes whose views hold it.
+        rows = np.repeat(np.arange(n, dtype=self.ball.dtype), self.ball_count)
+        self.view_count = np.flatnonzero(self.ball == rows) - self.ball_start + 1
+        self.waiting = self.view_count - 1  # unassigned nodes in each view
+        self.assign = np.full(n, -1, dtype=np.int8)
+        self.done = 0
+        self.levels = 0
+        self.tie_next = RED  # alternation state: first tie goes to red
+        self.trace: list[GreedyStep] | None = [] if record_trace else None
 
-    def local_view(self, c: int) -> np.ndarray:
-        """Assigned nodes within view_hops of c (graph distance), plus c, ascending."""
-        ball = self.reach.indices[self.reach.indptr[c]:self.reach.indptr[c + 1]]
-        return ball[(self.assign[ball] >= 0) | (ball == c)]
+    def run_component(self, root: int) -> None:
+        """Assign the component whose BFS starts at rank root, level by level."""
+        level = np.array([root])
+        while level.size:
+            self.assign_level(level)
+            # The nodes whose views assigning this level completed, by rank.
+            count = self.view_count[level]
+            pos, _ = _entries(self.ball_start[level] + count, self.ball_count[level] - count)
+            nodes, hits = np.unique(self.ball[pos], return_counts=True)
+            self.waiting[nodes] -= hits
+            level = nodes[self.waiting[nodes] == 0]
 
-    def candidate_divergences(self, c: int) -> tuple[float, float]:
-        """KLD of assigning c to red / to blue, on the local view.
+    def assign_level(self, level: np.ndarray) -> None:
+        """Assign the nodes of one level in rank order."""
+        self.levels += 1
+        if self.done == 0:
+            # The very first node initializes the red class.
+            self.assign[level] = RED
+            self.done = 1
+            if self.trace is not None:
+                self.trace.append(GreedyStep(int(self.order[0]), 0.0, 0.0, RED, tie=False,
+                                             seed=True))
+            return
+        d_red, d_blue = self.divergences(level)
+        tie = np.abs(d_blue - d_red) <= TIE_RTOL * np.maximum(1.0, np.abs(d_red))
+        g = np.where(d_blue > d_red, RED, BLUE).astype(np.int8)
+        for i in np.flatnonzero(tie):
+            g[i] = self.tie_next
+            self.tie_next = BLUE if self.tie_next == RED else RED
+        self.assign[level] = g
+        self.done += level.size
+        forced = np.zeros(level.size, dtype=bool)
+        # Keep both classes non-empty: the last node may not land a tie into
+        # the only populated class.
+        if self.done == self.assign.size and tie[-1] and np.all(self.assign == g[-1]):
+            g[-1] = self.assign[level[-1]] = BLUE if g[-1] == RED else RED
+            forced[-1] = True
+        if self.trace is not None:
+            self.trace.extend(
+                GreedyStep(int(self.order[c]), float(dr), float(db), int(gc), tie=bool(t),
+                           forced=bool(f))
+                for c, dr, db, gc, t, f in zip(level, d_red, d_blue, g, tie, forced)
+            )
 
-        The view's weights W give P_o = L(W) + delta*I; candidate g gives
-        P_g = L(W masked to pairs of differing class, c in class g) + delta*I.
+    def divergences(self, level: np.ndarray) -> np.ndarray:
+        """(2, B) divergences of assigning each level node to red / to blue.
+
+        Each view's weights W give P_o = L(W) + delta*I; candidate g gives
+        P_g = L(W masked to pairs of differing class, the node in class g)
+        + delta*I. Views are zero-padded to the level's largest one; a padded
+        row is an isolated node with delta on the diagonal and cancels out.
         """
-        view = self.local_view(c)
-        n = view.size
-        self.local[view] = np.arange(n)
-        lc = self.local[c]
-        # The adjacency rows of the view, read through positions pos; every
-        # entry whose column lies in the view is a weight of W.
-        starts = self.adj.indptr[view]
-        counts = self.adj.indptr[view + 1] - starts
-        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        rows = np.repeat(np.arange(n), counts)
-        cols = self.local[self.adj.indices[pos]]
-        self.local[view] = -1
-        inside = cols >= 0
-        w = np.zeros((n, n))
-        w[rows[inside], cols[inside]] = self.adj.data[pos[inside]]
+        n, b = self.assign.size, level.size
+        starts, sizes = self.ball_start[level], self.view_count[level]
+        pos, owner = _entries(starts, sizes)
+        members = self.ball[pos]
+        local = pos - starts[owner]
+        # Every adjacency entry of a member whose column lies in the same view
+        # is a weight of W; the keys owner * n + member ascend.
+        keys = owner * n + members
+        apos, row = _entries(self.adj.indptr[members], self.degree[members])
+        akeys = owner[row] * n + self.adj.indices[apos]
+        col = np.minimum(np.searchsorted(keys, akeys), keys.size - 1)
+        inside = keys[col] == akeys
+        row, col, w = row[inside], col[inside], self.adj.data[apos[inside]]
 
-        delta_eye = self.delta * np.eye(n)
-        logdet_o, sigma = _logdet_and_inverse(_dense_laplacian(w) + delta_eye)
-        cls = self.assign[view]
-        out = []
+        nmax = int(sizes.max())
+        at = (owner[row] * nmax + local[row]) * nmax + local[col]
+        p = np.zeros((3, b * nmax * nmax))
+        p[0, at] = w
+        cls = self.assign[members]
+        own = np.cumsum(sizes) - 1  # each view ends with its node
         for g in (RED, BLUE):
-            cls[lc] = g
-            cross = w * (cls[:, None] != cls[None, :])
-            out.append(_divergence(logdet_o, sigma, _dense_laplacian(cross) + delta_eye))
-        return out[0], out[1]
+            cls[own] = g
+            cross = cls[row] != cls[col]
+            p[1 + g, at[cross]] = w[cross]
+        p = p.reshape(3, b, nmax, nmax)
+        # W has a zero diagonal (graphs have no self-loops)
+        diagonal = p.sum(axis=-1) + self.delta
+        np.negative(p, out=p)
+        i = np.arange(nmax)
+        p[..., i, i] = diagonal
+        return _divergences(p)
 
 
 def approximate_bipartite(
@@ -182,7 +257,11 @@ def approximate_bipartite(
     The start node goes to red. Every later node joins red if the blue
     candidate diverges more, blue otherwise; near-equal divergences
     alternate, red first. Disconnected graphs are processed per component,
-    each seeded at its lowest-index unassigned node. Deterministic for a
+    the start node's first, then the others seeded at their lowest-index
+    node. Within a component the nodes are assigned one dependency level at
+    a time, in (level, BFS rank) order; the tie alternation, the forced
+    rule and the trace follow that order, which differs from plain BFS rank
+    order only for a component with two or more ties. Deterministic for a
     fixed input.
     """
     if delta <= 0:
@@ -193,54 +272,22 @@ def approximate_bipartite(
     if not (0 <= start_node < n):
         raise ValueError(f"start_node {start_node} out of range for {n} nodes")
 
-    state = _GreedyState(graph, delta, view_hops)
-    trace: list[GreedyStep] | None = [] if record_trace else None
-    tie_next = RED  # alternation state: first tie goes to red
-    assigned_count = 0
+    adj = graph.adjacency
+    _, labels = connected_components(adj, directed=False)
+    _, firsts = np.unique(labels, return_index=True)
+    seeds = [start_node] + sorted(int(f) for f in firsts if labels[f] != labels[start_node])
+    # One BFS per component, neighbours queued in ascending index order; the
+    # concatenated orders rank every node.
+    components = [breadth_first_order(adj, s, directed=True, return_predecessors=False)
+                  for s in seeds]
+    order = np.concatenate(components)
+    state = _LevelGreedy(adj, order, delta, view_hops, record_trace)
+    for root in np.cumsum([0] + [c.size for c in components[:-1]]):
+        state.run_component(int(root))
 
-    def assign(c: int, g: int, step: GreedyStep | None):
-        nonlocal assigned_count
-        state.assign[c] = g
-        assigned_count += 1
-        if trace is not None and step is not None:
-            trace.append(step)
-
-    seeds = [start_node] + [i for i in range(n) if i != start_node]
-    first_seed = True
-    for seed in seeds:
-        if state.assign[seed] >= 0:
-            continue
-        # One BFS covers the seed's whole component, none of it assigned yet;
-        # neighbours are queued in ascending index order.
-        for c in breadth_first_order(state.adj, seed, directed=True,
-                                     return_predecessors=False):
-            c = int(c)
-            if first_seed:
-                # The very first node initializes the red class.
-                assign(c, RED, GreedyStep(c, 0.0, 0.0, RED, tie=False, seed=True))
-                first_seed = False
-                continue
-            d_red, d_blue = state.candidate_divergences(c)
-            tie = abs(d_blue - d_red) <= TIE_RTOL * max(1.0, abs(d_red))
-            forced = False
-            if tie:
-                g = tie_next
-                tie_next = BLUE if tie_next == RED else RED
-                # Keep both classes non-empty: the last node may not
-                # land a tie into the only populated class.
-                if (
-                    assigned_count == n - 1
-                    and n >= 2
-                    and not np.any(state.assign == (BLUE if g == RED else RED))
-                    and np.any(state.assign == g)
-                ):
-                    g = BLUE if g == RED else RED
-                    forced = True
-            else:
-                g = RED if d_blue > d_red else BLUE
-            assign(c, g, GreedyStep(c, d_red, d_blue, g, tie=tie, forced=forced))
-
-    return Bipartition(state.assign.copy(), trace=trace)
+    assignment = np.empty(n, dtype=np.int8)
+    assignment[order] = state.assign
+    return Bipartition(assignment, trace=state.trace, levels=state.levels)
 
 
 def induced_bipartite_graph(graph: WeightedGraph, bp: Bipartition) -> WeightedGraph:

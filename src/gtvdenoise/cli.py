@@ -39,7 +39,7 @@ from .errors import (
 from .graph import build_knn_graph, edge_list_lines
 from .metrics import CSV_HEADER, evaluate
 from .normals import estimate_normal_field, normal_field_lines
-from .solver import DenoiseParams, denoise
+from .solver import STAGE_KEYS, DenoiseParams, denoise
 
 EXIT_OK = 0
 EXIT_BENCH_PARTIAL = 1
@@ -194,6 +194,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     if cg_at_cap:
         log.warning("%d position steps stopped at cg_max_iter=%d with residual above "
                     "cg_tol=%g", cg_at_cap, params.cg_max_iter, params.cg_tol)
+    meta = diagnostics.meta
+    log.debug("stage seconds: %s; bipartition levels %d",
+              ", ".join(f"{key.removeprefix('seconds_')} {meta[key]:.3f}" for key in STAGE_KEYS),
+              meta["bipartition_levels"])
     finals = [diagnostics.rows_for(lbl)[-1][2] for lbl in diagnostics.pass_labels()]
     worst = max(finals) if finals else 0.0
     log.info("done: %d passes, worst final primal residual %.3e, %.2fs",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -101,17 +102,6 @@ class EdgeOperator:
     @property
     def edge_count(self) -> int:
         return self.ei.size
-
-
-@dataclass(eq=False)
-class AdmmState:
-    """Iterates of one ADMM solve."""
-
-    p: np.ndarray
-    m: np.ndarray
-    u: np.ndarray
-    iteration: int = 0
-    residuals: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -419,6 +409,21 @@ def _admm_with_operator(
     return p
 
 
+# Stage timers of DiagnosticsReport.meta, in pipeline order.
+STAGE_KEYS = ("seconds_graph", "seconds_bipartition", "seconds_normals",
+              "seconds_class_graph", "seconds_admm")
+
+
+@contextmanager
+def _stage(diag: DiagnosticsReport, key: str):
+    """Add the wall time of the with-block to diag.meta[key]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        diag.meta[key] = diag.meta.get(key, 0.0) + time.perf_counter() - t0
+
+
 def _class_pass(
     p_cur: np.ndarray,
     q_obs: np.ndarray,
@@ -434,23 +439,26 @@ def _class_pass(
     Mutates p_cur in place for the optimized nodes; returns the number of
     nodes skipped for lack of a support pair.
     """
-    field_, failed = estimate_normal_field(
-        p_cur, graph, assignment, cls, params.k, params.collinearity_tol
-    )
+    with _stage(diag, "seconds_normals"):
+        field_, failed = estimate_normal_field(
+            p_cur, graph, assignment, cls, params.k, params.collinearity_tol
+        )
     active = field_.ids
     if active.size == 0:
         return len(failed)
     sub_positions = p_cur[active]
-    if active.size >= 2 and not np.all(sub_positions == sub_positions[0]):
-        k_eff = min(params.k, active.size - 1)
-        class_graph = build_knn_graph(sub_positions, k_eff, params.sigma_p)
-    else:
-        class_graph = WeightedGraph(active.size, np.array([], dtype=np.int64),
-                                    np.array([], dtype=np.int64), np.array([]))
+    with _stage(diag, "seconds_class_graph"):
+        if active.size >= 2 and not np.all(sub_positions == sub_positions[0]):
+            k_eff = min(params.k, active.size - 1)
+            class_graph = build_knn_graph(sub_positions, k_eff, params.sigma_p)
+        else:
+            class_graph = WeightedGraph(active.size, np.array([], dtype=np.int64),
+                                        np.array([], dtype=np.int64), np.array([]))
     q_sub = q_obs[active].ravel()
-    p_new = admm_denoise_partite(
-        q_sub, class_graph, field_.A, field_.b, params, label=label, collector=diag
-    )
+    with _stage(diag, "seconds_admm"):
+        p_new = admm_denoise_partite(
+            q_sub, class_graph, field_.A, field_.b, params, label=label, collector=diag
+        )
     p_cur[active] = p_new.reshape(-1, 3)
     return len(failed)
 
@@ -461,7 +469,7 @@ def denoise(
     """Denoise a cloud; returns the result plus a diagnostics report.
 
     Builds the k-NN graph and the red/blue bipartition from the noisy
-    input once (optionally recomputed per pass), then alternates red and
+    input once (once per window in windowed runs), then alternates red and
     blue ADMM passes until the relative position change drops below
     outer_tol. Nodes without a valid support pair stay at their observed
     positions. Clouds larger than window_budget are solved in overlapping
@@ -475,7 +483,10 @@ def denoise(
     passes_at_cap counts passes that stopped at admm_max_iter with a primal
     residual above admm_tol; cg_iterations totals the CG iterations of all
     p-steps, and cg_steps_at_cap counts p-steps that stopped at cg_max_iter
-    with a residual above cg_tol.
+    with a residual above cg_tol. The keys seconds_graph,
+    seconds_bipartition, seconds_normals, seconds_class_graph and
+    seconds_admm hold the time spent in each stage, summed over passes and
+    windows; bipartition_levels counts the bipartition's dependency levels.
     """
     if params is None:
         params = DenoiseParams()
@@ -486,7 +497,8 @@ def denoise(
     diag = DiagnosticsReport()
     diag.meta["points"] = cloud.n
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
-    diag.meta.update(cg_iterations=0, cg_steps_at_cap=0)
+    diag.meta.update(cg_iterations=0, cg_steps_at_cap=0, bipartition_levels=0)
+    diag.meta.update(dict.fromkeys(STAGE_KEYS, 0.0))
     t0 = time.perf_counter()
     centred = cloud.positions - cloud.positions.mean(axis=0)
     if cloud.n > params.window_budget:
@@ -494,6 +506,7 @@ def denoise(
     else:
         solved = _denoise_core(centred, params, diag, label_prefix="")
     diag.meta["seconds_total"] = round(time.perf_counter() - t0, 6)
+    diag.meta.update({key: round(diag.meta[key], 6) for key in STAGE_KEYS})
     finals = {row[0]: row for row in diag.rows}  # the last row of each pass
     diag.meta["passes_at_cap"] = sum(
         it >= params.admm_max_iter and res > params.admm_tol
@@ -505,10 +518,13 @@ def denoise(
 def _denoise_core(
     q_obs: np.ndarray, params: DenoiseParams, diag: DiagnosticsReport, label_prefix: str
 ) -> np.ndarray:
-    graph = build_knn_graph(q_obs, min(params.k, q_obs.shape[0] - 1), params.sigma_p)
-    bp = approximate_bipartite(
-        graph, params.delta, params.start_node, view_hops=params.view_hops
-    )
+    with _stage(diag, "seconds_graph"):
+        graph = build_knn_graph(q_obs, min(params.k, q_obs.shape[0] - 1), params.sigma_p)
+    with _stage(diag, "seconds_bipartition"):
+        bp = approximate_bipartite(
+            graph, params.delta, params.start_node, view_hops=params.view_hops
+        )
+    diag.meta["bipartition_levels"] = diag.meta.get("bipartition_levels", 0) + bp.levels
     if label_prefix == "":
         diag.meta["red_nodes"] = int(bp.red.size)
         diag.meta["blue_nodes"] = int(bp.blue.size)

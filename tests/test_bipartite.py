@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.csgraph import breadth_first_order, connected_components, shortest_path
 
 from gtvdenoise.bipartite import (
     BLUE,
     RED,
+    TIE_RTOL,
     Bipartition,
     approximate_bipartite,
     bipartition_lines,
@@ -41,6 +42,43 @@ def grid_graph(nx, ny, w=1.0):
 
 def removed_intra_edges(graph, bp):
     return int(np.sum(bp.assignment[graph.ei] == bp.assignment[graph.ej]))
+
+
+def sequential_greedy(graph, delta=0.01, start_node=0, view_hops=2):
+    """One node at a time in BFS rank order, each scored with kld on its view.
+
+    The view is every assigned node within view_hops of the node, plus the
+    node. Near-equal divergences alternate, red first, and the last node may
+    not land a tie in the only populated class.
+    """
+    n = graph.node_count
+    hops = shortest_path(graph.adjacency, unweighted=True)
+    w_all = graph.adjacency.toarray()
+    lap = lambda w: np.diag(w.sum(axis=1)) - w
+    assign = np.full(n, -1)
+    tie_next = RED
+    for seed in [start_node, *range(n)]:
+        if assign[seed] >= 0:
+            continue
+        for c in breadth_first_order(graph.adjacency, seed, return_predecessors=False):
+            if np.all(assign < 0):
+                assign[c] = RED
+                continue
+            view = np.flatnonzero(((assign >= 0) & (hops[c] <= view_hops)) | (np.arange(n) == c))
+            w = w_all[np.ix_(view, view)]
+            d = []
+            for g in (RED, BLUE):
+                cls = assign[view].copy()
+                cls[view == c] = g
+                d.append(kld(lap(w), lap(w * (cls[:, None] != cls[None, :])), delta))
+            if abs(d[BLUE] - d[RED]) <= TIE_RTOL * max(1.0, abs(d[RED])):
+                g, tie_next = tie_next, 1 - tie_next
+                if np.sum(assign >= 0) == n - 1 and np.all(assign[assign >= 0] == g):
+                    g = 1 - g
+            else:
+                g = RED if d[BLUE] > d[RED] else BLUE
+            assign[c] = g
+    return assign
 
 
 class TestKld:
@@ -205,6 +243,43 @@ class TestGreedyGeneral:
                     )
                     assert d == pytest.approx(kld(l_orig, l_bip, delta), rel=1e-10, abs=1e-10)
             assign[step.node] = step.chosen
+
+    @pytest.mark.parametrize("seed,k,view_hops", [(0, 4, 1), (1, 5, 2), (2, 6, 3),
+                                                   (3, 8, 2), (4, 7, 1), (5, 4, 3)])
+    def test_levels_match_the_sequential_greedy_on_knn_clouds(self, seed, k, view_hops):
+        pts = np.random.default_rng(seed).normal(size=(60, 3))
+        g = build_knn_graph(pts, k=k, sigma_p=1.5)
+        bp = approximate_bipartite(g, view_hops=view_hops)
+        np.testing.assert_array_equal(bp.assignment, sequential_greedy(g, view_hops=view_hops))
+        assert 1 < bp.levels < g.node_count
+
+    def test_levels_match_the_sequential_greedy_on_two_components(self):
+        rng = np.random.default_rng(3)
+        pts = np.vstack([rng.normal(size=(25, 3)), rng.normal(size=(30, 3)) + 1000.0])
+        g = build_knn_graph(pts, k=4, sigma_p=1.5)
+        assert connected_components(g.adjacency)[0] == 2
+        for start in (0, 40):
+            bp = approximate_bipartite(g, start_node=start)
+            np.testing.assert_array_equal(bp.assignment, sequential_greedy(g, start_node=start))
+
+    def test_levels_match_the_sequential_greedy_on_ties(self):
+        # unit-weight triangles and K4s: each non-first component's root and
+        # each node between a red and a blue neighbour ties
+        ei, ej = [], []
+        for base, size in ((0, 3), (3, 4), (7, 3), (10, 4), (14, 3)):
+            for a in range(size):
+                for b in range(a + 1, size):
+                    ei.append(base + a), ej.append(base + b)
+        g = WeightedGraph(17, ei, ej, np.ones(len(ei)))
+        bp = approximate_bipartite(g, record_trace=True)
+        assert sum(step.tie for step in bp.trace) == 9
+        np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
+        # edgeless graphs tie at every node; with 2 nodes the forced rule fires
+        for n in (2, 3, 5):
+            g = WeightedGraph(n, [], [], [])
+            bp = approximate_bipartite(g, record_trace=True)
+            assert [step.forced for step in bp.trace] == [False, n == 2] + [False] * (n - 2)
+            np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
 
     def test_bad_arguments_rejected(self):
         g = path_graph(3)

@@ -142,6 +142,21 @@ class TestDenoiseCommand:
         assert code == EXIT_OK
         assert diag.read_text().startswith("# denoise diagnostics")
 
+    def test_verbose_run_logs_the_stage_breakdown_once(self, plane_file, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="gtvdenoise")
+        code = main(["-v", "denoise", str(plane_file), str(tmp_path / "v.xyz"),
+                     "--outer-max-iter", "1", "--admm-max-iter", "20",
+                     "--collinearity-tol", "0.05"])
+        assert code == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG and r.getMessage().startswith("stage seconds")]
+        assert len(lines) == 1
+        for stage in ("graph", "bipartition", "normals", "class_graph", "admm"):
+            assert f"{stage} " in lines[0]
+        text = (tmp_path / "v.xyz.diag").read_text()
+        levels = int(text.split("\nbipartition_levels: ")[1].split("\n")[0])
+        assert lines[0].endswith(f"bipartition levels {levels}")
+
     def test_windowed_run_logs_window_count_and_redundancy(self, plane_file, tmp_path,
                                                            caplog):
         caplog.set_level(logging.INFO, logger="gtvdenoise")

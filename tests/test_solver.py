@@ -408,6 +408,22 @@ class TestDenoiseEndToEnd:
         assert len(diag.rows) > 0
         assert diag.pass_labels()[0] == "outer1:red"
 
+    @pytest.mark.parametrize("window_budget", [20000, 200], ids=["direct", "windowed"])
+    def test_stage_timers_cover_the_run(self, window_budget):
+        _, noisy = self._noisy_plane(n_side=16)
+        params = DenoiseParams(outer_max_iter=2, admm_max_iter=20,
+                               collinearity_tol=0.05, window_budget=window_budget)
+        _, diag = denoise(noisy, params)
+        seconds = [diag.meta[key] for key in solver.STAGE_KEYS]
+        assert list(solver.STAGE_KEYS) == ["seconds_graph", "seconds_bipartition",
+                                           "seconds_normals", "seconds_class_graph",
+                                           "seconds_admm"]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds) <= diag.meta["seconds_total"]
+        assert diag.meta["seconds_admm"] > 0
+        # every window's bipartition has at least one level
+        assert diag.meta["bipartition_levels"] >= diag.meta.get("windows", 1)
+
     def test_gamma_zero_identity(self):
         _, noisy = self._noisy_plane()
         out, _ = denoise(noisy, DenoiseParams(gamma=0.0, outer_max_iter=2))
