@@ -198,10 +198,9 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     log.debug("stage seconds: %s; bipartition levels %d",
               ", ".join(f"{key.removeprefix('seconds_')} {meta[key]:.3f}" for key in STAGE_KEYS),
               meta["bipartition_levels"])
-    finals = [diagnostics.rows_for(lbl)[-1][2] for lbl in diagnostics.pass_labels()]
-    worst = max(finals) if finals else 0.0
+    finals = [row[2] for row in diagnostics.final_rows()]
     log.info("done: %d passes, worst final primal residual %.3e, %.2fs",
-             len(diagnostics.pass_labels()), worst, elapsed)
+             len(finals), max(finals, default=0.0), elapsed)
     return EXIT_OK
 
 

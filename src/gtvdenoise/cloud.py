@@ -202,11 +202,11 @@ def _read_ply(fh, path: str) -> PointCloud:
         elif tokens[0] == "property":
             if not elements:
                 raise CloudFormatError("property before any element", path=path, line=lineno)
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 elements[-1][2].append(("list", tokens[-1] if len(tokens) > 2 else ""))
+            elif len(tokens) != 3:
+                raise CloudFormatError("malformed property line", path=path, line=lineno)
             else:
-                if len(tokens) != 3:
-                    raise CloudFormatError("malformed property line", path=path, line=lineno)
                 elements[-1][2].append((tokens[1], tokens[2]))
         elif tokens[0] == "end_header":
             break

@@ -1,23 +1,26 @@
 """ADMM denoiser: quadratic fidelity plus graph total variation of normals.
 
-Per node class (red / blue) the solver minimizes
+Per node class (red / blue) each node's normal is affine in its own
+position, n_i = A_i p_i + b_i, and the solver minimizes
 
     ||q - p||^2 + gamma * sum_edges w_ij ||m_ij||_1,
-    m = B p + v,
+    m = D n = D (A p + b),
 
-where each 3-row block of B holds the normal linearizations A_i and -A_j
-of an edge (i, j) and v holds b_i - b_j, so m approximates the stacked
-normal differences n_i - n_j. The scaled-form ADMM splits are:
+where D is the class graph's E x V incidence (+1 at e_i, -1 at e_j), so
+m_ij = n_i - n_j. The scaled-form ADMM splits are:
 
-    p-step:  (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v)   (conjugate gradient,
-             block-Jacobi preconditioned with the inverses of the 3x3 diagonal
-             blocks 2 I + rho deg_i A_i^T A_i)
-    m-step:  m = soft(B p + v + u, gamma w_ij / rho)   (exact: m enters its
+    p-step:  (2 I + rho A^T (L (x) I_3) A) p = 2 q + rho A^T D^T (m - u - D b)
+             with L = D^T D; the system is assembled once per solve on L's
+             pattern and solved by conjugate gradient, block-Jacobi
+             preconditioned with the inverses of its 3x3 diagonal blocks
+             2 I + rho deg_i A_i^T A_i
+    m-step:  m = soft(D (A p + b) + u, gamma w_ij / rho)   (exact: m enters its
              subproblem alone, so the l1 prox has this closed form)
-    u-step:  u += B p + v - m
+    u-step:  u += D (A p + b) - m
 
 The stopping rule is on the primal residual; the scaled dual residual
-||B^T (m_k - m_{k-1})|| / ||B^T u_k|| is recorded in the diagnostics only.
+||A^T D^T (m_k - m_{k-1})|| / ||A^T D^T u_k|| is recorded in the diagnostics
+only.
 
 Red and blue passes alternate; each pass re-estimates support pairs,
 orientations and linearizations from the current positions of the other
@@ -32,7 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.sparse import bsr_matrix, csr_matrix, identity
+from scipy.sparse import bsr_matrix, csr_matrix
 
 from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
@@ -51,7 +54,9 @@ class DenoiseParams:
     exact, and cg_tol / cg_max_iter bound the only inexact step, the
     position solve. That solve is preconditioned, but cg_tol is still
     measured on the unpreconditioned relative residual
-    ||rhs - (2 I + rho B^T B) p|| / ||rhs||.
+    ||rhs - (2 I + rho A^T (L (x) I_3) A) p|| / ||rhs||, with n = A p + b the
+    per-node normal models and L = D^T D the class graph's unweighted
+    Laplacian.
     """
 
     gamma: float = 0.05          # GTV regularization strength
@@ -91,17 +96,30 @@ class DenoiseParams:
 
 @dataclass(eq=False)
 class EdgeOperator:
-    """Sparse stacked-difference operator m = B p + v for one class graph."""
+    """Normal differences m = D (A p + b) of one class graph, and its p-step system.
 
-    B: csr_matrix                # (3E, 3V)
-    v: np.ndarray                # (3E,)
-    ei: np.ndarray
-    ej: np.ndarray
-    node_count: int
+    A (V, 3, 3) and b (V, 3) are the nodes' normal models n = A p + b; D is
+    the class graph's E x V incidence (+1 at e_i, -1 at e_j). system is
+    2 I + rho A^T (L (x) I_3) A with L = D^T D, and preconditioner holds the
+    inverses of its 3x3 diagonal blocks.
+    """
 
-    @property
-    def edge_count(self) -> int:
-        return self.ei.size
+    A: np.ndarray
+    b: np.ndarray
+    D: csr_matrix
+    Dt: csr_matrix               # D^T in CSR: D.T would rebuild it on every adjoint
+    rho: float
+    system: csr_matrix
+    preconditioner: csr_matrix
+
+    def differences(self, p: np.ndarray) -> np.ndarray:
+        """Stacked edge normal differences D (A p + b), shape (3E,)."""
+        normals = np.einsum("vij,vj->vi", self.A, p.reshape(-1, 3)) + self.b
+        return (self.D @ normals).ravel()
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^T D^T y for stacked edge vectors y, shape (3V,)."""
+        return np.einsum("vji,vj->vi", self.A, self.Dt @ y.reshape(-1, 3)).ravel()
 
 
 @dataclass(frozen=True)
@@ -123,15 +141,9 @@ class DiagnosticsReport:
     rows: list[tuple] = field(default_factory=list)
     outer_changes: list[tuple] = field(default_factory=list)
 
-    def pass_labels(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row[0] not in seen:
-                seen.append(row[0])
-        return seen
-
-    def rows_for(self, label: str) -> list[tuple]:
-        return [r for r in self.rows if r[0] == label]
+    def final_rows(self) -> list[tuple]:
+        """The last row of each pass, in pass order."""
+        return list({row[0]: row for row in self.rows}.values())
 
     def to_text(self) -> str:
         lines = ["# denoise diagnostics"]
@@ -152,12 +164,18 @@ class DiagnosticsReport:
 
 
 def assemble_edge_operator(
-    class_graph: WeightedGraph, A: np.ndarray, b: np.ndarray
+    class_graph: WeightedGraph, A: np.ndarray, b: np.ndarray, rho: float
 ) -> EdgeOperator:
-    """Stack per-edge blocks [A_i, -A_j] into sparse B and b_i - b_j into v.
+    """The incidence D of a class graph and the p-step system for penalty rho.
 
     A (n, 3, 3) and b (n, 3) hold the normal models of the n graph nodes; a
-    node whose row of A or b is not finite has no model.
+    node whose row of A or b is not finite has no model. The system is built
+    on the pattern of L = D^T D: block (i, j) is rho L_ij A_i^T A_j, plus 2 I
+    on the diagonal, so it is SPD with smallest eigenvalue >= 2. Diagonal
+    block i, 2 I + rho deg_i A_i^T A_i, is inverted for the block-Jacobi
+    preconditioner, which absorbs the spread of per-node gains ||A_i|| that
+    slows unpreconditioned CG (Saad 2003, Iterative Methods for Sparse Linear
+    Systems, section 10.1).
     """
     n = class_graph.node_count
     if A.shape != (n, 3, 3) or b.shape != (n, 3):
@@ -165,61 +183,25 @@ def assemble_edge_operator(
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     if not finite.all():
         raise MissingLinearizationError(int(np.flatnonzero(~finite)[0]))
+    nodes = np.arange(n)
+    ends = np.concatenate([class_graph.ei, class_graph.ej])
+    others = np.concatenate([class_graph.ej, class_graph.ei])
     e = class_graph.edge_count
-    if e == 0:
-        return EdgeOperator(
-            csr_matrix((0, 3 * n)), np.zeros(0), class_graph.ei, class_graph.ej, n
-        )
-    ei, ej = class_graph.ei, class_graph.ej
-
-    blocks = np.empty((2 * e, 3, 3))
-    blocks[0::2] = A[ei]
-    blocks[1::2] = -A[ej]
-    # Row index of block r of edge e is 3e + r; columns span the endpoint.
-    rows = (3 * np.repeat(np.arange(e), 2)[:, None, None]
-            + np.arange(3)[None, :, None]
-            + np.zeros(3, dtype=np.int64)[None, None, :])
-    cols = (3 * np.stack([ei, ej], axis=1).ravel()[:, None, None]
-            + np.zeros(3, dtype=np.int64)[None, :, None]
-            + np.arange(3)[None, None, :])
-    B = csr_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(3 * e, 3 * n)
-    )
-    v = (b[ei] - b[ej]).ravel()
-    return EdgeOperator(B, v, ei, ej, n)
-
-
-def position_system(B: csr_matrix, rho: float, Bt: csr_matrix | None = None) -> csr_matrix:
-    """The p-step matrix 2 I + rho B^T B, SPD with smallest eigenvalue >= 2."""
-    if Bt is None:
-        Bt = B.T.tocsr()
-    return (2.0 * identity(B.shape[1], format="csr", dtype=np.float64)
-            + rho * (Bt @ B)).tocsr()
-
-
-def diagonal_blocks(system: csr_matrix) -> np.ndarray:
-    """The (V, 3, 3) diagonal blocks of a p-step matrix from position_system.
-
-    Block i is 2 I + rho deg_i A_i^T A_i, where deg_i is node i's degree in
-    the class graph.
-    """
-    bsr = system.tobsr(blocksize=(3, 3))
-    block_rows = np.repeat(np.arange(bsr.shape[0] // 3), np.diff(bsr.indptr))
-    # 2 I keeps every diagonal block stored, so exactly one per block row
-    return bsr.data[bsr.indices == block_rows]
-
-
-def block_jacobi(system: csr_matrix) -> csr_matrix:
-    """Block-Jacobi preconditioner: the inverses of system's 3x3 diagonal blocks.
-
-    The blocks absorb the spread of per-node gains ||A_i|| that slows
-    unpreconditioned CG (Saad 2003, Iterative Methods for Sparse Linear
-    Systems, section 10.1).
-    """
-    inverses = np.linalg.inv(diagonal_blocks(system))
-    v = inverses.shape[0]
-    return bsr_matrix((inverses, np.arange(v), np.arange(v + 1)),
-                      shape=system.shape).tocsr()
+    D = csr_matrix((np.repeat([1.0, -1.0], e), (np.tile(np.arange(e), 2), ends)),
+                   shape=(e, n))
+    # L = D^T D: -1 per edge and deg_i on the diagonal, stored even where
+    # deg_i = 0 so that every node gets its 2 I block
+    L = csr_matrix((np.concatenate([-np.ones(2 * e), np.bincount(ends, minlength=n)]),
+                    (np.concatenate([ends, nodes]), np.concatenate([others, nodes]))),
+                   shape=(n, n))
+    rows = np.repeat(nodes, np.diff(L.indptr))
+    blocks = rho * L.data[:, None, None] * np.einsum("kji,kjl->kil", A[rows], A[L.indices])
+    diagonal = rows == L.indices
+    blocks[diagonal] += 2.0 * np.eye(3)
+    system = bsr_matrix((blocks, L.indices, L.indptr), shape=(3 * n, 3 * n)).tocsr()
+    preconditioner = bsr_matrix((np.linalg.inv(blocks[diagonal]), nodes,
+                                 np.arange(n + 1)), shape=system.shape).tocsr()
+    return EdgeOperator(A, b, D, D.T.tocsr(), rho, system, preconditioner)
 
 
 def _pcg(system: csr_matrix, preconditioner: csr_matrix, rhs: np.ndarray,
@@ -260,36 +242,20 @@ def _pcg(system: csr_matrix, preconditioner: csr_matrix, rhs: np.ndarray,
 
 def p_update(
     q: np.ndarray,
-    B: csr_matrix,
-    v: np.ndarray,
+    op: EdgeOperator,
     m: np.ndarray,
     u: np.ndarray,
-    rho: float,
     cg_tol: float = 1e-6,
     cg_max_iter: int = 200,
     p0: np.ndarray | None = None,
-    Bt: csr_matrix | None = None,
-    system: csr_matrix | None = None,
-    preconditioner: csr_matrix | None = None,
 ) -> tuple[np.ndarray, CgResult]:
-    """Solve (2 I + rho B^T B) p = 2 q + rho B^T (m - u - v) by block-Jacobi PCG.
+    """Solve op.system p = 2 q + rho A^T D^T (m - u - D b) by block-Jacobi PCG.
 
-    The operator has smallest eigenvalue >= 2, so the system is SPD for any
-    rho >= 0. Non-convergence is reported (warning + best iterate), not fatal.
-    Bt, system and preconditioner are optional precomputed B^T,
-    position_system(B, rho) and block_jacobi(system); callers that solve
-    repeatedly with a fixed B pass them to skip the rebuild.
+    Non-convergence is reported (warning + best iterate), not fatal.
     """
-    if Bt is None:
-        Bt = B.T.tocsr()
-    if system is None:
-        system = position_system(B, rho, Bt)
-    if preconditioner is None:
-        preconditioner = block_jacobi(system)
-    rhs = 2.0 * q + rho * (Bt @ (m - u - v))
-
+    rhs = 2.0 * q + op.rho * op.adjoint(m - u - (op.D @ op.b).ravel())
     x0 = q if p0 is None else p0
-    p, info = _pcg(system, preconditioner, rhs, x0, cg_tol, cg_max_iter)
+    p, info = _pcg(op.system, op.preconditioner, rhs, x0, cg_tol, cg_max_iter)
     if not info.converged:
         warnings.warn(
             f"position CG stopped at relative residual {info.residual:.3e} "
@@ -336,42 +302,22 @@ def admm_denoise_partite(
     also initializes p; A and b are the nodes' normal models (see
     assemble_edge_operator). With gamma = 0 the solve returns q unchanged.
     """
-    op = assemble_edge_operator(class_graph, A, b)
-    return _admm_with_operator(q, op, class_graph.w, params, label, collector)
-
-
-def _admm_with_operator(
-    q: np.ndarray,
-    op: EdgeOperator,
-    weights: np.ndarray,
-    params: DenoiseParams,
-    label: str,
-    collector: DiagnosticsReport | None,
-) -> np.ndarray:
+    op = assemble_edge_operator(class_graph, A, b, params.rho)
     q = np.asarray(q, dtype=np.float64).ravel()
-    B, v = op.B, op.v
     p = q.copy()
-    m = B @ p + v
+    m = op.differences(p)
     u = np.zeros_like(m)
-    w3 = np.repeat(weights, 3)
-    tau = edge_thresholds(weights, params.gamma / params.rho)
-    # B is fixed for the whole solve: precompute B^T, the SPD system and its
-    # block-Jacobi preconditioner once.
-    Bt = B.T.tocsr()
-    system = position_system(B, params.rho, Bt)
-    preconditioner = block_jacobi(system)
+    w3 = np.repeat(class_graph.w, 3)
+    tau = edge_thresholds(class_graph.w, params.gamma / params.rho)
     tiny = np.finfo(np.float64).tiny
 
     t0 = time.perf_counter()
     first_residual = None
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
-        p, info = p_update(
-            q, B, v, m, u, params.rho, params.cg_tol, params.cg_max_iter,
-            p0=p, Bt=Bt, system=system, preconditioner=preconditioner,
-        )
+        p, info = p_update(q, op, m, u, params.cg_tol, params.cg_max_iter, p0=p)
         _require_finite(p, f"{label}: non-finite p-step value at node index")
-        z = B @ p + v
+        z = op.differences(p)
         m_prev = m
         m = soft_threshold(z + u, tau)
         _require_finite(m, f"{label}: non-finite m-step value at edge index")
@@ -379,8 +325,8 @@ def _admm_with_operator(
 
         residual = float(np.linalg.norm(z - m)) / max(float(np.linalg.norm(m)), 1.0)
         # scaled dual residual (Boyd et al. 2011, section 3.3.1); recorded only
-        dual = float(np.linalg.norm(Bt @ (m - m_prev))) / max(
-            float(np.linalg.norm(Bt @ u)), tiny)
+        dual = float(np.linalg.norm(op.adjoint(m - m_prev))) / max(
+            float(np.linalg.norm(op.adjoint(u))), tiny)
         gtv = float(w3 @ np.abs(z))
         objective = float(np.sum((q - p) ** 2)) + params.gamma * gtv
         if not np.isfinite(objective):
@@ -507,10 +453,9 @@ def denoise(
         solved = _denoise_core(centred, params, diag, label_prefix="")
     diag.meta["seconds_total"] = round(time.perf_counter() - t0, 6)
     diag.meta.update({key: round(diag.meta[key], 6) for key in STAGE_KEYS})
-    finals = {row[0]: row for row in diag.rows}  # the last row of each pass
     diag.meta["passes_at_cap"] = sum(
         it >= params.admm_max_iter and res > params.admm_tol
-        for _, it, res, *_ in finals.values()
+        for _, it, res, *_ in diag.final_rows()
     )
     return PointCloud(cloud.positions + (solved - centred)), diag
 

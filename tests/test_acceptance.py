@@ -35,7 +35,8 @@ from gtvdenoise.solver import DenoiseParams, denoise, edge_thresholds, p_update
 from gtvdenoise.synthetic import jittered_plane, sphere_with_spacing
 
 from test_bipartite import cycle_graph, grid_graph, path_graph, removed_intra_edges
-from test_solver import random_instance, random_linearizations, record_admm_steps
+from test_solver import (dense_reference, random_instance, random_linearizations,
+                         record_admm_steps)
 
 # A tighter CG tolerance than the library default so the reported primal
 # residual reflects the splitting itself, not an inexact position solve.
@@ -183,15 +184,15 @@ def test_position_update_agrees_with_dense_solve_and_system_is_spd(verdict):
     all_converged = True
     for seed in range(20):
         n_nodes = int(np.random.default_rng(seed).integers(3, 11))  # <= 30 unknowns
-        _, op, q = random_instance(n_nodes, seed)
+        graph, op, q = random_instance(n_nodes, seed, rho=rho)
+        Bd, v = dense_reference(graph, op.A, op.b)
         rng = np.random.default_rng(seed + 500)
-        m = rng.normal(size=op.v.size)
-        u = rng.normal(size=op.v.size)
-        p, info = p_update(q, op.B, op.v, m, u, rho, cg_tol=1e-12, cg_max_iter=500)
+        m = rng.normal(size=v.size)
+        u = rng.normal(size=v.size)
+        p, info = p_update(q, op, m, u, cg_tol=1e-12, cg_max_iter=500)
         all_converged &= info.converged
-        Bd = op.B.toarray()
         A = 2.0 * np.eye(Bd.shape[1]) + rho * Bd.T @ Bd
-        rhs = 2.0 * q + rho * Bd.T @ (m - u - op.v)
+        rhs = 2.0 * q + rho * Bd.T @ (m - u - v)
         direct = np.linalg.solve(A, rhs)
         worst_rel = max(worst_rel, float(np.linalg.norm(p - direct) / np.linalg.norm(direct)))
         for x in rng.normal(size=(10, Bd.shape[1])):
@@ -289,9 +290,9 @@ def test_solver_residuals_converged_on_every_denoise_run(
         (small_run.runs[0].diag, small_run.params),
     ]
     for diag, params in runs:
-        for label in diag.pass_labels():
-            rows = diag.rows_for(label)
-            first_res, final_res = rows[0][2], rows[-1][2]
+        first = {row[0]: row[2] for row in diag.rows if row[1] == 1}
+        for label, _, final_res, *_ in diag.final_rows():
+            first_res = first[label]
             healthy &= final_res <= params.admm_tol and final_res < first_res
             worst_final = max(worst_final, final_res)
             checked += 1

@@ -327,6 +327,12 @@ class TestExitCodes:
         code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
         assert code == EXIT_PARSE
 
+    def test_malformed_ply_header_exits_with_parse_code(self, tmp_path):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\nend_header\n")
+        code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
+        assert code == EXIT_PARSE
+
     def test_solver_divergence_exits_with_one_error_line(self, tmp_path, caplog,
                                                          monkeypatch):
         # A position step that overflows stops the solve before its m-step.

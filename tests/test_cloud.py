@@ -224,3 +224,11 @@ class TestPlyIO:
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")
         with pytest.raises(CloudFormatError):
             load_cloud(str(path))
+
+    @pytest.mark.parametrize("line", ["property", "property float"])
+    def test_property_line_without_fields(self, tmp_path, line):
+        path = tmp_path / "c.ply"
+        path.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\n{line}\nend_header\n")
+        with pytest.raises(CloudFormatError, match="malformed property line") as err:
+            load_cloud(str(path))
+        assert err.value.line == 4

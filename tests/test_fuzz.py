@@ -44,6 +44,7 @@ PLY_HEADER_LINE = st.one_of(
         "element vertex x", "element face 1", "property float x",
         "property float y", "property float z", "property double z",
         "property list uchar int vertex_indices", "property char", "bogus line",
+        "property", "property list", "element vertex", "format",
     ]),
     st.text(max_size=20),
 )

@@ -19,12 +19,9 @@ from gtvdenoise.solver import (
     _window_layout,
     admm_denoise_partite,
     assemble_edge_operator,
-    block_jacobi,
     denoise,
-    diagonal_blocks,
     edge_thresholds,
     p_update,
-    position_system,
     soft_threshold,
 )
 from gtvdenoise import solver
@@ -47,9 +44,18 @@ def random_instance(n_nodes, seed, gamma=0.05, rho=5.0):
     rng = np.random.default_rng(seed)
     idx = np.arange(n_nodes - 1)
     graph = WeightedGraph(n_nodes, idx, idx + 1, rng.uniform(0.3, 1.0, n_nodes - 1))
-    op = assemble_edge_operator(graph, *random_linearizations(n_nodes, seed + 1))
+    op = assemble_edge_operator(graph, *random_linearizations(n_nodes, seed + 1), rho)
     q = rng.normal(size=3 * n_nodes)
     return graph, op, q
+
+
+def dense_reference(graph, A, b):
+    """Dense stacked form m = B p + v: edge e's rows hold [A_i, -A_j] and b_i - b_j."""
+    B = np.zeros((3 * graph.edge_count, 3 * graph.node_count))
+    for e, (i, j) in enumerate(zip(graph.ei, graph.ej)):
+        B[3 * e:3 * e + 3, 3 * i:3 * i + 3] = A[i]
+        B[3 * e:3 * e + 3, 3 * j:3 * j + 3] = -A[j]
+    return B, (b[graph.ei] - b[graph.ej]).ravel()
 
 
 class TestDenoiseParams:
@@ -119,32 +125,48 @@ class TestEdgeOperator:
     def test_matches_per_edge_differences(self):
         graph = WeightedGraph(4, [0, 1, 0], [1, 2, 3], [0.5, 0.5, 0.5])
         A, b = random_linearizations(4, seed=2)
-        op = assemble_edge_operator(graph, A, b)
-        assert op.B.shape == (9, 12)
+        op = assemble_edge_operator(graph, A, b, 5.0)
+        assert op.D.shape == (3, 4)
         p = np.random.default_rng(3).normal(size=12)
-        got = op.B @ p + op.v
+        got = op.differences(p)
         pos = p.reshape(4, 3)
         for e, (i, j) in enumerate(zip(graph.ei, graph.ej)):
             ni = A[i] @ pos[i] + b[i]
             nj = A[j] @ pos[j] + b[j]
             np.testing.assert_allclose(got[3 * e : 3 * e + 3], ni - nj, atol=1e-12)
 
+    def test_adjoint_and_system_match_the_dense_reference(self):
+        graph = WeightedGraph(5, [0, 1, 0, 2], [1, 2, 3, 4], [0.5, 0.5, 0.5, 0.5])
+        A, b = random_linearizations(5, seed=7)
+        rho = 3.0
+        op = assemble_edge_operator(graph, A, b, rho)
+        B, v = dense_reference(graph, A, b)
+        rng = np.random.default_rng(8)
+        p, y = rng.normal(size=15), rng.normal(size=12)
+        np.testing.assert_allclose(op.differences(p), B @ p + v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.adjoint(y), B.T @ y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.system.toarray(), 2.0 * np.eye(15) + rho * B.T @ B,
+                                   rtol=0, atol=1e-12)
+
     def test_edgeless_graph(self):
         graph = WeightedGraph(3, [], [], [])
-        op = assemble_edge_operator(graph, *random_linearizations(3, 4))
-        assert op.B.shape == (0, 9) and op.v.size == 0 and op.edge_count == 0
+        op = assemble_edge_operator(graph, *random_linearizations(3, 4), 5.0)
+        assert op.D.shape == (0, 3) and op.differences(np.ones(9)).size == 0
+        np.testing.assert_array_equal(op.adjoint(np.zeros(0)), np.zeros(9))
+        np.testing.assert_array_equal(op.system.toarray(), 2.0 * np.eye(9))
+        np.testing.assert_allclose(op.preconditioner.toarray(), 0.5 * np.eye(9))
 
     def test_count_mismatch_rejected(self):
         graph = WeightedGraph(3, [0], [1], [0.5])
         with pytest.raises(ValueError):
-            assemble_edge_operator(graph, *random_linearizations(2, 5))
+            assemble_edge_operator(graph, *random_linearizations(2, 5), 5.0)
 
     def test_missing_linearization_rejected(self):
         graph = WeightedGraph(3, [0], [1], [0.5])
         A, b = random_linearizations(3, 6)
         b[1, 2] = np.nan
         with pytest.raises(MissingLinearizationError) as info:
-            assemble_edge_operator(graph, A, b)
+            assemble_edge_operator(graph, A, b, 5.0)
         assert info.value.node == 1
 
 
@@ -153,15 +175,15 @@ class TestPUpdate:
         # small instances against a direct solve of (2I + rho B'B) p = rhs
         for seed in range(20):
             n_nodes = int(np.random.default_rng(seed).integers(3, 11))
-            _, op, q = random_instance(n_nodes, seed)
+            graph, op, q = random_instance(n_nodes, seed)
+            Bd, v = dense_reference(graph, op.A, op.b)
             rng = np.random.default_rng(seed + 100)
-            m = rng.normal(size=op.v.size)
-            u = rng.normal(size=op.v.size)
+            m = rng.normal(size=v.size)
+            u = rng.normal(size=v.size)
             rho = 5.0
-            p, info = p_update(q, op.B, op.v, m, u, rho, cg_tol=1e-12, cg_max_iter=500)
-            Bd = op.B.toarray()
+            p, info = p_update(q, op, m, u, cg_tol=1e-12, cg_max_iter=500)
             A = 2.0 * np.eye(Bd.shape[1]) + rho * Bd.T @ Bd
-            rhs = 2.0 * q + rho * Bd.T @ (m - u - v_of(op))
+            rhs = 2.0 * q + rho * Bd.T @ (m - u - v)
             direct = np.linalg.solve(A, rhs)
             assert info.converged
             rel = np.linalg.norm(p - direct) / np.linalg.norm(direct)
@@ -170,46 +192,26 @@ class TestPUpdate:
     def test_spd_lower_bound(self):
         # x' (2I + rho B'B) x >= 2 ||x||^2 for any B
         _, op, _ = random_instance(8, 42)
-        Bd = op.B.toarray()
-        A = 2.0 * np.eye(Bd.shape[1]) + 5.0 * Bd.T @ Bd
+        A = op.system.toarray()
         rng = np.random.default_rng(43)
         for _ in range(50):
-            x = rng.normal(size=Bd.shape[1])
+            x = rng.normal(size=A.shape[1])
             assert x @ A @ x >= 2.0 * (x @ x) - 1e-9
-
-    def test_precomputed_operator_identical(self):
-        from scipy.sparse import identity
-
-        _, op, q = random_instance(6, 7)
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=op.v.size)
-        u = rng.normal(size=op.v.size)
-        plain, _ = p_update(q, op.B, op.v, m, u, 5.0, cg_tol=1e-10, cg_max_iter=300)
-        Bt = op.B.T.tocsr()
-        system = (2.0 * identity(op.B.shape[1], format="csr") + 5.0 * (Bt @ op.B)).tocsr()
-        pre, _ = p_update(
-            q, op.B, op.v, m, u, 5.0, cg_tol=1e-10, cg_max_iter=300, Bt=Bt, system=system
-        )
-        np.testing.assert_allclose(plain, pre, atol=1e-9)
 
     def test_preconditioner_blocks_are_the_diagonal_blocks_of_the_system(self):
         graph, op, _ = random_instance(7, 20)
-        A, _ = random_linearizations(7, 21)
+        A, b = random_linearizations(7, 21)
         rho = 5.0
-        system = position_system(op.B, rho)
-        dense = 2.0 * np.eye(21) + rho * op.B.toarray().T @ op.B.toarray()
-        blocks = diagonal_blocks(system)
+        B, _ = dense_reference(graph, A, b)
+        dense = 2.0 * np.eye(21) + rho * B.T @ B
         degree = graph.incident_counts()
-        assert blocks.shape == (7, 3, 3)
+        inverse = op.preconditioner.toarray()
         for i in range(7):
-            np.testing.assert_allclose(blocks[i], dense[3 * i:3 * i + 3, 3 * i:3 * i + 3],
-                                       rtol=0, atol=1e-12)
+            block = dense[3 * i:3 * i + 3, 3 * i:3 * i + 3]
             np.testing.assert_allclose(
-                blocks[i], 2.0 * np.eye(3) + rho * degree[i] * A[i].T @ A[i],
+                block, 2.0 * np.eye(3) + rho * degree[i] * A[i].T @ A[i],
                 rtol=0, atol=1e-12)
-        inverse = block_jacobi(system).toarray()
-        for i in range(7):
-            np.testing.assert_allclose(inverse[3 * i:3 * i + 3, 3 * i:3 * i + 3] @ blocks[i],
+            np.testing.assert_allclose(inverse[3 * i:3 * i + 3, 3 * i:3 * i + 3] @ block,
                                        np.eye(3), rtol=0, atol=1e-12)
         assert np.count_nonzero(inverse) <= 9 * 7
 
@@ -219,27 +221,23 @@ class TestPUpdate:
         graph, _, q = random_instance(n, 0)
         A, b = random_linearizations(n, 1)
         A[n // 2] *= 300.0
-        op = assemble_edge_operator(graph, A, b)
+        op = assemble_edge_operator(graph, A, b, 5.0)
+        Bd, v = dense_reference(graph, A, b)
         rng = np.random.default_rng(100)
-        m = rng.normal(size=op.v.size)
-        u = rng.normal(size=op.v.size)
-        p, info = p_update(q, op.B, op.v, m, u, 5.0, cg_tol=1e-10, cg_max_iter=1000)
-        Bd = op.B.toarray()
+        m = rng.normal(size=v.size)
+        u = rng.normal(size=v.size)
+        p, info = p_update(q, op, m, u, cg_tol=1e-10, cg_max_iter=1000)
         direct = np.linalg.solve(2.0 * np.eye(3 * n) + 5.0 * Bd.T @ Bd,
-                                 2.0 * q + 5.0 * Bd.T @ (m - u - op.v))
+                                 2.0 * q + 5.0 * Bd.T @ (m - u - v))
         assert info.converged and info.iterations <= 40
         assert np.linalg.norm(p - direct) / np.linalg.norm(direct) < 1e-8
 
     def test_warns_when_not_converged(self):
         _, op, q = random_instance(10, 9)
-        m = np.zeros(op.v.size)
-        u = np.zeros(op.v.size)
+        m = np.zeros(27)
+        u = np.zeros(27)
         with pytest.warns(UserWarning, match="CG stopped"):
-            p_update(q, op.B, op.v, m, u, 5.0, cg_tol=1e-14, cg_max_iter=1)
-
-
-def v_of(op):
-    return op.v
+            p_update(q, op, m, u, cg_tol=1e-14, cg_max_iter=1)
 
 
 def record_admm_steps(monkeypatch, graph, A, b, q, params, collector=None):
@@ -271,12 +269,12 @@ class TestMUpdate:
         for seed in range(10):
             graph, _, q = random_instance(6, seed + 200)
             A, b = random_linearizations(6, seed + 201)
-            op = assemble_edge_operator(graph, A, b)
+            B, v = dense_reference(graph, A, b)
             _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
             assert len(m_steps) == len(p_steps) >= 2
-            u = np.zeros(op.v.size)
+            u = np.zeros(v.size)
             for p, (c, tau, m) in zip(p_steps, m_steps):
-                z = op.B @ p + op.v
+                z = B @ p + v
                 np.testing.assert_array_equal(tau, edge_thresholds(graph.w, gamma / rho))
                 np.testing.assert_allclose(c, z + u, atol=1e-12)
                 np.testing.assert_array_equal(m, soft_threshold(c, tau))
@@ -296,12 +294,12 @@ def test_u_update_formula(monkeypatch):
     # u_k = u_{k-1} + (B p_{k-1} + v - m_{k-1}) and u_0 = 0
     graph, _, q = random_instance(5, 11)
     A, b = random_linearizations(5, 12)
-    op = assemble_edge_operator(graph, A, b)
+    B, v = dense_reference(graph, A, b)
     params = DenoiseParams(gamma=0.2, admm_max_iter=15, admm_tol=1e-12)
     _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
-    u = np.zeros(op.v.size)
+    u = np.zeros(v.size)
     for p, (c, _, m) in zip(p_steps, m_steps):
-        z = op.B @ p + op.v
+        z = B @ p + v
         np.testing.assert_allclose(c - z, u, atol=1e-12)
         u = u + (z - m)
     assert np.any(u != 0)
@@ -309,19 +307,20 @@ def test_u_update_formula(monkeypatch):
 
 class TestDualResidual:
     def test_recorded_value_matches_the_scaled_dual_formula(self, monkeypatch):
-        # dual_k = ||B'(m_k - m_{k-1})|| / ||B' u_k|| with m_0 = B q + v
+        # dual_k = ||A'D'(m_k - m_{k-1})|| / ||A'D' u_k|| with m_0 = D (A q + b),
+        # where A'D' is the transpose B' of the dense stacked operator
         graph, _, q = random_instance(5, 11)
         A, b = random_linearizations(5, 12)
-        op = assemble_edge_operator(graph, A, b)
+        B, v = dense_reference(graph, A, b)
         params = DenoiseParams(gamma=0.2, admm_max_iter=15, admm_tol=1e-12)
         diag = DiagnosticsReport()
         _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params, diag)
         assert len(diag.rows) == len(m_steps) >= 3
-        m_prev, u = op.B @ q + op.v, np.zeros(op.v.size)
+        m_prev, u = B @ q + v, np.zeros(v.size)
         for row, p, (_, _, m) in zip(diag.rows, p_steps, m_steps):
-            u = u + (op.B @ p + op.v - m)
-            expect = (np.linalg.norm(op.B.T @ (m - m_prev))
-                      / np.linalg.norm(op.B.T @ u))
+            u = u + (B @ p + v - m)
+            expect = (np.linalg.norm(B.T @ (m - m_prev))
+                      / np.linalg.norm(B.T @ u))
             assert row[6] == pytest.approx(expect, rel=1e-12)
             m_prev = m
 
@@ -361,19 +360,19 @@ class TestAdmm:
         )
         A, b = random_linearizations(10, 16)
         got = admm_denoise_partite(q, graph, A, b, params)
-        op = assemble_edge_operator(graph, A, b)
+        B, v = dense_reference(graph, A, b)
         w3 = np.repeat(graph.w, 3)
 
         p_var = cp.Variable(q.size)
         objective = cp.Minimize(
             cp.sum_squares(q - p_var)
-            + gamma * cp.sum(cp.multiply(w3, cp.abs(op.B @ p_var + op.v)))
+            + gamma * cp.sum(cp.multiply(w3, cp.abs(B @ p_var + v)))
         )
         problem = cp.Problem(objective)
         problem.solve()
 
         def obj(p):
-            return float(np.sum((q - p) ** 2) + gamma * (w3 @ np.abs(op.B @ p + op.v)))
+            return float(np.sum((q - p) ** 2) + gamma * (w3 @ np.abs(B @ p + v)))
 
         assert abs(obj(got) - problem.value) / abs(problem.value) < 1e-7
 
@@ -383,7 +382,7 @@ class TestAdmm:
         diag = DiagnosticsReport()
         params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500, cg_tol=1e-10)
         admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
-        res = [row[2] for row in diag.rows_for("x")]
+        res = [row[2] for row in diag.rows]
         assert len(res) >= 2
         assert res[-1] < res[0]
         assert res[-1] <= params.admm_tol
@@ -406,7 +405,7 @@ class TestDenoiseEndToEnd:
         assert diag.meta["points"] == clean.n
         assert diag.meta["red_nodes"] + diag.meta["blue_nodes"] == clean.n
         assert len(diag.rows) > 0
-        assert diag.pass_labels()[0] == "outer1:red"
+        assert diag.final_rows()[0][0] == "outer1:red"
 
     @pytest.mark.parametrize("window_budget", [20000, 200], ids=["direct", "windowed"])
     def test_stage_timers_cover_the_run(self, window_budget):
@@ -594,10 +593,10 @@ class TestDiagnosticsReport:
         diag.save(str(path))
         assert path.read_text() == text
 
-    def test_label_helpers(self):
+    def test_final_rows_are_the_last_row_of_each_pass_in_pass_order(self):
         diag = DiagnosticsReport()
         diag.rows.append(("a", 1, 0.1, 1.0, 0.5, 0.0))
         diag.rows.append(("b", 1, 0.2, 1.0, 0.5, 0.0))
         diag.rows.append(("a", 2, 0.05, 0.9, 0.4, 0.0))
-        assert diag.pass_labels() == ["a", "b"]
-        assert [r[1] for r in diag.rows_for("a")] == [1, 2]
+        assert diag.final_rows() == [("a", 2, 0.05, 0.9, 0.4, 0.0),
+                                     ("b", 1, 0.2, 1.0, 0.5, 0.0)]
