@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CloudFormatError, DegenerateCloudError
-
-# Generator identity recorded in run metadata so outputs are reproducible.
-RNG_ID = "numpy-pcg64"
 
 # 17 significant digits round-trip an IEEE double exactly.
 _FLOAT_FMT = "%.17g"
@@ -46,17 +43,14 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Zero-mean isotropic Gaussian noise: sigma per axis, fixed seed."""
+    """Zero-mean isotropic Gaussian noise: sigma per axis, numpy PCG64 from seed."""
 
     sigma: float
     seed: int = 0
-    rng_id: str = field(default=RNG_ID)
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.rng_id != RNG_ID:
-            raise ValueError(f"unsupported rng id {self.rng_id!r}")
 
 
 def add_gaussian_noise(cloud: PointCloud, spec: NoiseSpec) -> PointCloud:

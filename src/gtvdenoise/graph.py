@@ -6,11 +6,11 @@ Neighbor queries are exact (kd-tree with full backtracking) and distance
 ties are broken by the smaller point index, which makes the graph
 independent of point insertion order.
 
-knn_adjacency builds the union-symmetrized k-NN pattern, the one graph
-that the k-NN graph, the normal orientation and the window layout share.
-A WeightedGraph keeps its edges as canonical arrays plus a cached
-symmetric CSR adjacency, which callers slice by row or hand to
-scipy.sparse.csgraph.
+knn_adjacency builds the union-symmetrized k-NN pattern, the one pattern
+that the k-NN graph and the normal orientation share. A WeightedGraph
+keeps its edges as canonical arrays plus a cached symmetric CSR
+adjacency, which callers slice by row, walk for the window layout or hand
+to scipy.sparse.csgraph; subgraph restricts it to one window's points.
 """
 
 from __future__ import annotations
@@ -149,12 +149,18 @@ class WeightedGraph:
         np.add.at(deg, self.ej, self.w)
         return deg
 
-    def incident_counts(self) -> np.ndarray:
-        """Number of incident edges per node."""
-        cnt = np.zeros(self.node_count, dtype=np.int64)
-        np.add.at(cnt, self.ei, 1)
-        np.add.at(cnt, self.ej, 1)
-        return cnt
+    def subgraph(self, nodes: np.ndarray) -> WeightedGraph:
+        """The graph induced on ascending node ids, node nodes[t] relabelled t.
+
+        On every node it is the graph itself, so no copy is made.
+        """
+        if nodes.size == self.node_count:
+            return self
+        local = np.full(self.node_count, -1, dtype=np.int64)
+        local[nodes] = np.arange(nodes.size)
+        keep = (local[self.ei] >= 0) & (local[self.ej] >= 0)
+        return WeightedGraph(nodes.size, local[self.ei[keep]], local[self.ej[keep]],
+                             self.w[keep])
 
     @cached_property
     def adjacency(self) -> csr_matrix:

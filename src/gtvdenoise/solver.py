@@ -32,16 +32,16 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix
 
-from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
+from .bipartite import BLUE, RED, approximate_bipartite
 from .cloud import PointCloud
 from .errors import (AdmmDivergenceError, ConfigError, DegenerateCloudError,
                      MissingLinearizationError)
-from .graph import WeightedGraph, build_knn_graph, knn_adjacency
+from .graph import WeightedGraph, build_knn_graph
 from .normals import DEFAULT_COLLINEARITY_TOL, estimate_normal_field
 
 
@@ -414,13 +414,13 @@ def denoise(
 ) -> tuple[PointCloud, DiagnosticsReport]:
     """Denoise a cloud; returns the result plus a diagnostics report.
 
-    Builds the k-NN graph and the red/blue bipartition from the noisy
-    input once (once per window in windowed runs), then alternates red and
-    blue ADMM passes until the relative position change drops below
-    outer_tol. Nodes without a valid support pair stay at their observed
-    positions. Clouds larger than window_budget are solved in overlapping
-    spatial windows. A start_node that is not a point index of the cloud
-    raises ConfigError.
+    Builds the k-NN graph and the red/blue bipartition of the noisy input
+    once per cloud, then alternates red and blue ADMM passes until the
+    relative position change drops below outer_tol. Nodes without a valid
+    support pair stay at their observed positions. Clouds larger than
+    window_budget run their passes in overlapping spatial windows, each on
+    the cloud's graph and bipartition restricted to its points. A
+    start_node that is not a point index of the cloud raises ConfigError.
 
     The solve runs on centroid-centred coordinates, because the CG stopping
     rule is relative to a right-hand side that grows with the distance from
@@ -429,10 +429,11 @@ def denoise(
     passes_at_cap counts passes that stopped at admm_max_iter with a primal
     residual above admm_tol; cg_iterations totals the CG iterations of all
     p-steps, and cg_steps_at_cap counts p-steps that stopped at cg_max_iter
-    with a residual above cg_tol. The keys seconds_graph,
-    seconds_bipartition, seconds_normals, seconds_class_graph and
-    seconds_admm hold the time spent in each stage, summed over passes and
-    windows; bipartition_levels counts the bipartition's dependency levels.
+    with a residual above cg_tol. seconds_graph and seconds_bipartition
+    time the cloud's graph and bipartition; seconds_normals,
+    seconds_class_graph and seconds_admm sum each stage over passes and
+    windows. bipartition_levels counts the bipartition's dependency levels,
+    and red_nodes and blue_nodes its class sizes.
     """
     if params is None:
         params = DenoiseParams()
@@ -447,10 +448,33 @@ def denoise(
     diag.meta.update(dict.fromkeys(STAGE_KEYS, 0.0))
     t0 = time.perf_counter()
     centred = cloud.positions - cloud.positions.mean(axis=0)
-    if cloud.n > params.window_budget:
-        solved = _denoise_windowed(centred, params, diag)
-    else:
-        solved = _denoise_core(centred, params, diag, label_prefix="")
+    with _stage(diag, "seconds_graph"):
+        graph = build_knn_graph(centred, min(params.k, cloud.n - 1), params.sigma_p)
+    with _stage(diag, "seconds_bipartition"):
+        bp = approximate_bipartite(
+            graph, params.delta, params.start_node, view_hops=params.view_hops
+        )
+    diag.meta.update(bipartition_levels=bp.levels, red_nodes=int(bp.red.size),
+                     blue_nodes=int(bp.blue.size))
+
+    windows = _window_layout(centred, graph.adjacency, params)
+    if len(windows) > 1:
+        oversized = sum(members.size > params.window_budget for _, members in windows)
+        if oversized:
+            warnings.warn(
+                f"{oversized} of {len(windows)} windows exceed window_budget="
+                f"{params.window_budget}; solving oversized windows",
+                stacklevel=2,
+            )
+        diag.meta["windows"] = len(windows)
+        diag.meta["window_points"] = int(sum(members.size for _, members in windows))
+        diag.meta["windows_oversized"] = oversized
+    solved = np.empty_like(centred)
+    for w_idx, (core, members) in enumerate(windows):
+        prefix = f"w{w_idx}:" if len(windows) > 1 else ""
+        window = _denoise_core(centred[members], graph.subgraph(members),
+                               bp.assignment[members], params, diag, prefix)
+        solved[core] = window[np.searchsorted(members, core)]
     diag.meta["seconds_total"] = round(time.perf_counter() - t0, 6)
     diag.meta.update({key: round(diag.meta[key], 6) for key in STAGE_KEYS})
     diag.meta["passes_at_cap"] = sum(
@@ -461,26 +485,25 @@ def denoise(
 
 
 def _denoise_core(
-    q_obs: np.ndarray, params: DenoiseParams, diag: DiagnosticsReport, label_prefix: str
+    q_obs: np.ndarray,
+    graph: WeightedGraph,
+    assignment: np.ndarray,
+    params: DenoiseParams,
+    diag: DiagnosticsReport,
+    label_prefix: str,
 ) -> np.ndarray:
-    with _stage(diag, "seconds_graph"):
-        graph = build_knn_graph(q_obs, min(params.k, q_obs.shape[0] - 1), params.sigma_p)
-    with _stage(diag, "seconds_bipartition"):
-        bp = approximate_bipartite(
-            graph, params.delta, params.start_node, view_hops=params.view_hops
-        )
-    diag.meta["bipartition_levels"] = diag.meta.get("bipartition_levels", 0) + bp.levels
-    if label_prefix == "":
-        diag.meta["red_nodes"] = int(bp.red.size)
-        diag.meta["blue_nodes"] = int(bp.blue.size)
+    """Alternate red and blue passes over one window's points until outer_tol.
 
+    graph and assignment are the cloud's k-NN graph and bipartition
+    restricted to the window, in the order of q_obs.
+    """
     p_cur = q_obs.copy()
     skipped = 0
     for outer in range(1, params.outer_max_iter + 1):
         prev = p_cur.copy()
         for cls, name in ((RED, "red"), (BLUE, "blue")):
             skipped += _class_pass(
-                p_cur, q_obs, graph, bp.assignment, cls, params,
+                p_cur, q_obs, graph, assignment, cls, params,
                 f"{label_prefix}outer{outer}:{name}", diag,
             )
         denom = max(float(np.linalg.norm(prev)), np.finfo(np.float64).tiny)
@@ -492,59 +515,22 @@ def _denoise_core(
     return p_cur
 
 
-def _denoise_windowed(
-    q_obs: np.ndarray, params: DenoiseParams, diag: DiagnosticsReport
-) -> np.ndarray:
-    """Solve in windows: median-split cores, each with a k-NN-hop halo.
-
-    Every point is placed by the one window whose core holds it; halo
-    points only provide boundary context. Window layout is a deterministic
-    function of the input positions. The window whose core holds
-    params.start_node starts its bipartition there; every other window
-    starts at its lowest-index point.
-    """
-    windows = _window_layout(q_obs, params)
-    oversized = sum(members.size > params.window_budget for _, members in windows)
-    if oversized:
-        warnings.warn(
-            f"{oversized} of {len(windows)} windows exceed window_budget="
-            f"{params.window_budget}; solving oversized windows",
-            stacklevel=2,
-        )
-    diag.meta["windows"] = len(windows)
-    diag.meta["window_points"] = int(sum(members.size for _, members in windows))
-    diag.meta["windows_oversized"] = oversized
-    out = q_obs.copy()
-    for w_idx, (core_ids, member_ids) in enumerate(windows):
-        if member_ids.size < 4:
-            diag.meta["window_skips"] = diag.meta.get("window_skips", 0) + 1
-            continue  # too small to denoise; core keeps observed positions
-        own = params.start_node in core_ids
-        start = int(np.searchsorted(member_ids, params.start_node)) if own else 0
-        window_params = replace(params, start_node=start)
-        solved = _denoise_core(q_obs[member_ids], window_params, diag, label_prefix=f"w{w_idx}:")
-        out[core_ids] = solved[np.searchsorted(member_ids, core_ids)]
-    return out
-
-
 def _window_layout(
-    q_obs: np.ndarray, params: DenoiseParams
+    q_obs: np.ndarray, adjacency: csr_matrix, params: DenoiseParams
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(core, members) index pairs of the windows, both ascending.
 
-    Starting from the whole cloud, a core is split at the median of its
-    bounding box's longest axis while its window, the core plus every point
-    within view_hops + 1 hops of it in the cloud's k-NN graph, exceeds
-    window_budget. Those hops cover the bipartition's local view and the
-    support-pair hop of every core point. A core whose halo alone reaches
-    the budget is not split further, since its children's windows would be
-    mostly halo; such windows are solved oversized.
+    adjacency is the cloud's k-NN graph. Starting from the whole cloud, a
+    core is split at the median of its bounding box's longest axis while
+    its window, the core plus every point within view_hops + 1 hops of it
+    in that graph, exceeds window_budget. A cloud within the budget is one
+    window. The halo holds each core point's support-pair candidates (one
+    hop) and the same-class neighbours of its class k-NN graph, most of
+    which lie two hops away across the bipartition. A core whose halo
+    alone reaches the budget is not split further, since its children's
+    windows would be mostly halo; such windows are solved oversized.
     """
     n = q_obs.shape[0]
-    if np.all(q_obs == q_obs[0]):
-        raise DegenerateCloudError("all points coincide; cannot denoise")
-    adjacency = knn_adjacency(q_obs, min(params.k, n - 1))
-
     windows: list[tuple[np.ndarray, np.ndarray]] = []
     stack = [np.arange(n)]
     while stack:

@@ -61,10 +61,6 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-0.1)
 
-    def test_unknown_rng_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(sigma=0.1, rng_id="mt19937")
-
     def test_seed_determinism(self):
         cloud = PointCloud(np.zeros((100, 3)))
         a = add_gaussian_noise(cloud, NoiseSpec(sigma=0.5, seed=42))

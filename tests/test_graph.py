@@ -129,7 +129,7 @@ class TestWeightedGraph:
     def test_degrees_and_counts(self):
         g = WeightedGraph(3, [0, 1], [1, 2], [0.5, 0.25])
         np.testing.assert_allclose(g.degrees(), [0.5, 0.75, 0.25])
-        np.testing.assert_array_equal(g.incident_counts(), [1, 2, 1])
+        np.testing.assert_array_equal(np.diff(g.adjacency.indptr), [1, 2, 1])
 
     def test_adjacency(self):
         g = WeightedGraph(4, [0, 0, 2], [1, 2, 3], [0.1, 0.2, 0.3])
@@ -139,6 +139,16 @@ class TestWeightedGraph:
         np.testing.assert_array_equal(adj.indices[adj.indptr[3]:adj.indptr[4]], [2])
         assert adj[3, 2] == adj[2, 3] == 0.3
         assert adj[1, 3] == 0
+
+    def test_subgraph_keeps_the_edges_among_the_nodes_relabelled(self):
+        g = WeightedGraph(5, [0, 0, 1, 2, 3], [1, 4, 3, 3, 4], [0.1, 0.2, 0.3, 0.4, 0.5])
+        sub = g.subgraph(np.array([1, 3, 4]))
+        assert sub.node_count == 3
+        np.testing.assert_array_equal(sub.ei, [0, 1])
+        np.testing.assert_array_equal(sub.ej, [1, 2])
+        np.testing.assert_array_equal(sub.w, [0.3, 0.5])
+        whole = g.subgraph(np.arange(5))
+        np.testing.assert_array_equal(whole.adjacency.toarray(), g.adjacency.toarray())
 
 
 class TestBuildKnnGraph:
@@ -163,7 +173,7 @@ class TestBuildKnnGraph:
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.normal(size=(80, 3)))
         g = build_knn_graph(cloud, k=6, sigma_p=1.5)
-        assert g.incident_counts().min() >= 6
+        assert np.diff(g.adjacency.indptr).min() >= 6
 
     def test_weights_match_kernel(self):
         rng = np.random.default_rng(3)
