@@ -192,8 +192,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
                     "admm_tol=%g", at_cap, params.admm_max_iter, params.admm_tol)
     cg_at_cap = diagnostics.meta["cg_steps_at_cap"]
     if cg_at_cap:
-        log.warning("%d position steps stopped at cg_max_iter=%d with residual above "
-                    "cg_tol=%g", cg_at_cap, params.cg_max_iter, params.cg_tol)
+        log.warning("%d position steps stopped at the CG iteration cap short of their "
+                    "residual target", cg_at_cap)
     meta = diagnostics.meta
     log.debug("stage seconds: %s; bipartition levels %d",
               ", ".join(f"{key.removeprefix('seconds_')} {meta[key]:.3f}" for key in STAGE_KEYS),

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, config precedence, exit codes."""
 
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from gtvdenoise.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     build_params,
+    effective_config_text,
     main,
     parse_config_file,
 )
 from gtvdenoise.cloud import PointCloud, load_cloud, save_cloud
 from gtvdenoise.errors import ConfigError
+from gtvdenoise.solver import DenoiseParams
 
 
 @pytest.fixture
@@ -66,10 +69,23 @@ class TestConfigParsing:
         import argparse
 
         cfg = tmp_path / "c.cfg"
-        # recompute_bipartition was a solver parameter; old echoes still load
-        cfg.write_text("sigma = 0.1\nseed = 3\nrecompute_bipartition = False\n")
-        _, extra = build_params(str(cfg), argparse.Namespace())
-        assert extra == {"sigma": "0.1", "seed": "3", "recompute_bipartition": "False"}
+        # recompute_bipartition, cg_tol and cg_max_iter were solver parameters;
+        # old echoes still load, and echo those keys back unchanged
+        cfg.write_text("sigma = 0.1\nseed = 3\nrecompute_bipartition = False\n"
+                       "cg_tol = 1e-8\ncg_max_iter = 500\n")
+        params, extra = build_params(str(cfg), argparse.Namespace())
+        assert extra == {"sigma": "0.1", "seed": "3", "recompute_bipartition": "False",
+                         "cg_tol": "1e-8", "cg_max_iter": "500"}
+        echo = effective_config_text(params, extra)
+        assert "\ncg_tol = 1e-8\ncg_max_iter = 500\n" in echo
+
+    def test_no_cg_knobs(self, capsys):
+        # CG stops on a fixed reduction of its warm-start residual
+        assert len(fields(DenoiseParams)) == 13
+        with pytest.raises(SystemExit):
+            main(["denoise", "--help"])
+        text = capsys.readouterr().out
+        assert "--admm-tol" in text and "--cg-" not in text
 
     def test_invalid_value_rejected(self, tmp_path):
         import argparse
@@ -160,9 +176,10 @@ class TestDenoiseCommand:
     def test_windowed_run_logs_window_count_and_redundancy(self, plane_file, tmp_path,
                                                            caplog):
         caplog.set_level(logging.INFO, logger="gtvdenoise")
-        code = main(["denoise", str(plane_file), str(tmp_path / "w.xyz"),
-                     "--window-budget", "50", "--outer-max-iter", "1",
-                     "--admm-max-iter", "20", "--collinearity-tol", "0.05"])
+        with pytest.warns(UserWarning, match="oversized windows"):
+            code = main(["denoise", str(plane_file), str(tmp_path / "w.xyz"),
+                         "--window-budget", "50", "--outer-max-iter", "1",
+                         "--admm-max-iter", "20", "--collinearity-tol", "0.05"])
         assert code == EXIT_OK
         lines = [r.getMessage() for r in caplog.records if "windows" in r.getMessage()]
         assert len(lines) == 1
@@ -195,7 +212,8 @@ class TestDenoiseCommand:
         assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
 
     def test_cg_work_and_steps_at_the_cap_are_counted_and_warned(self, plane_file,
-                                                                  tmp_path, caplog):
+                                                                  tmp_path, caplog,
+                                                                  monkeypatch):
         noisy = tmp_path / "noisy.xyz"
         main(["-q", "noise", str(plane_file), str(noisy), "--sigma", "0.05"])
         caplog.set_level(logging.INFO, logger="gtvdenoise")
@@ -215,14 +233,16 @@ class TestDenoiseCommand:
         assert meta("cg_iterations") > 0 and meta("cg_steps_at_cap") == 0
         assert cg_warnings() == []
 
-        with pytest.warns(UserWarning, match="CG stopped"):
-            assert main(base + ["--cg-max-iter", "1"]) == EXIT_OK
-        # every p-step but each pass's first (which starts at its solution)
-        # stops after its one allowed iteration
+        from gtvdenoise import solver
+
+        monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
+        assert main(base) == EXIT_OK
+        # each pass's first p-step starts at its solution and takes no
+        # iteration; every step that stops at the cap took its one iteration
         at_cap = meta("cg_steps_at_cap")
-        assert at_cap > 0 and meta("cg_iterations") == at_cap
-        assert cg_warnings() == [f"{at_cap} position steps stopped at cg_max_iter=1 with "
-                                 "residual above cg_tol=1e-06"]
+        assert 0 < at_cap <= meta("cg_iterations")
+        assert cg_warnings() == [f"{at_cap} position steps stopped at the CG iteration "
+                                 "cap short of their residual target"]
 
     def test_too_few_points_degenerate_exit(self, tmp_path):
         path = tmp_path / "tiny.xyz"

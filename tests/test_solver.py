@@ -81,8 +81,8 @@ class TestDenoiseParams:
         for bad in (dict(collinearity_tol=-1e-8), dict(view_hops=0), dict(start_node=-1)):
             with pytest.raises(ValueError):
                 DenoiseParams(**bad)
-        for name in ("gamma", "rho", "sigma_p", "delta", "cg_tol", "admm_tol",
-                     "outer_tol", "collinearity_tol"):
+        for name in ("gamma", "rho", "sigma_p", "delta", "admm_tol", "outer_tol",
+                     "collinearity_tol"):
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     DenoiseParams(**{name: value})
@@ -187,7 +187,7 @@ class TestPUpdate:
             m = rng.normal(size=v.size)
             u = rng.normal(size=v.size)
             rho = 5.0
-            p, info = p_update(q, op, m, u, cg_tol=1e-12, cg_max_iter=500)
+            p, info = p_update(q, op, m, u, reduction=1e-12)
             A = 2.0 * np.eye(Bd.shape[1]) + rho * Bd.T @ Bd
             rhs = 2.0 * q + rho * Bd.T @ (m - u - v)
             direct = np.linalg.solve(A, rhs)
@@ -232,18 +232,26 @@ class TestPUpdate:
         rng = np.random.default_rng(100)
         m = rng.normal(size=v.size)
         u = rng.normal(size=v.size)
-        p, info = p_update(q, op, m, u, cg_tol=1e-10, cg_max_iter=1000)
+        # the 300x gain makes the residual at q about 300x ||rhs||, so
+        # matching the dense solve to 1e-8 takes a 1e-12 reduction of it
+        p, info = p_update(q, op, m, u, reduction=1e-12)
         direct = np.linalg.solve(2.0 * np.eye(3 * n) + 5.0 * Bd.T @ Bd,
                                  2.0 * q + 5.0 * Bd.T @ (m - u - v))
         assert info.converged and info.iterations <= 40
         assert np.linalg.norm(p - direct) / np.linalg.norm(direct) < 1e-8
 
-    def test_warns_when_not_converged(self):
-        _, op, q = random_instance(10, 9)
-        m = np.zeros(27)
-        u = np.zeros(27)
-        with pytest.warns(UserWarning, match="CG stopped"):
-            p_update(q, op, m, u, cg_tol=1e-14, cg_max_iter=1)
+    def test_steps_at_the_cap_are_counted_not_warned(self, monkeypatch):
+        # the cap is reported once per run, in the .diag count (and the CLI's
+        # warning line), not by a warning per p-step
+        graph, op, q = random_instance(10, 9)
+        monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
+        p, info = p_update(q, op, np.zeros(27), np.zeros(27), reduction=1e-14)
+        assert not info.converged and info.iterations == 1
+        assert np.all(np.isfinite(p))
+        diag = DiagnosticsReport()
+        params = DenoiseParams(gamma=0.5, admm_max_iter=5, admm_tol=1e-12)
+        admm_denoise_partite(q, graph, op.A, op.b, params, label="x", collector=diag)
+        assert 0 < diag.meta["cg_steps_at_cap"] <= diag.meta["cg_iterations"] <= len(diag.rows)
 
 
 def record_admm_steps(monkeypatch, graph, A, b, q, params, collector=None):
@@ -331,13 +339,17 @@ class TestDualResidual:
             m_prev = m
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_zero_primal_residual_can_hide_a_large_dual_residual(self, seed):
-        # The primal-only stopping rule ends these solves at iteration 2 with
-        # primal residual 0.0, short of the optimum; the dual residual shows it.
+    def test_zero_primal_residual_can_hide_a_large_dual_residual(self, seed,
+                                                                 monkeypatch):
+        # With exact p-steps, the primal-only stopping rule ends these solves
+        # at iteration 2 with primal residual 0.0, short of the optimum; the
+        # dual residual shows it.
         graph, _, q = random_instance(6, seed + 200)
         A, b = random_linearizations(6, seed + 201)
-        params = DenoiseParams(gamma=0.05, admm_tol=1e-9, cg_tol=1e-12)
+        params = DenoiseParams(gamma=0.05, admm_tol=1e-9)
         diag = DiagnosticsReport()
+        monkeypatch.setattr(solver, "p_update", lambda *args, **kwargs: p_update(
+            *args, **{**kwargs, "reduction": 1e-12}))
         admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
         final = diag.rows[-1]
         assert final[2] == 0.0
@@ -361,7 +373,6 @@ class TestAdmm:
         gamma = 0.5
         params = DenoiseParams(
             gamma=gamma, rho=5.0,
-            cg_tol=1e-12, cg_max_iter=1000,
             admm_tol=1e-10, admm_max_iter=6000,
         )
         A, b = random_linearizations(10, 16)
@@ -386,7 +397,7 @@ class TestAdmm:
         graph, op, q = random_instance(12, 17)
         A, b = random_linearizations(12, 18)
         diag = DiagnosticsReport()
-        params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500, cg_tol=1e-10)
+        params = DenoiseParams(admm_tol=1e-7, admm_max_iter=500)
         admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
         res = [row[2] for row in diag.rows]
         assert len(res) >= 2
@@ -404,7 +415,7 @@ class TestDenoiseEndToEnd:
     def test_reduces_plane_roughness(self):
         clean, noisy = self._noisy_plane()
         params = DenoiseParams(outer_max_iter=3, admm_max_iter=300, admm_tol=1e-4,
-                               cg_tol=1e-8, collinearity_tol=0.05)
+                               collinearity_tol=0.05)
         out, diag = denoise(noisy, params)
         rms = lambda c: np.sqrt(np.mean(c.positions[:, 2] ** 2))
         assert rms(out) < rms(noisy)
@@ -443,9 +454,9 @@ class TestDenoiseEndToEnd:
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_translated_cloud_denoises_like_the_original(self):
-        # The CG stopping rule is relative to a right-hand side that grows
-        # with the coordinates; without centring, this sphere shifted by
-        # 1000 came back unchanged (ratio 1.000) while still exiting cleanly.
+        # The p-step's right-hand side grows with the coordinates; when CG
+        # stopped relative to it, this sphere shifted by 1000 came back
+        # unchanged (ratio 1.000) without centring, while exiting cleanly.
         clean = sphere_with_spacing(600, 0.7)
         radius = float(np.mean(np.linalg.norm(clean.positions, axis=1)))
         noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=1)).positions
@@ -461,6 +472,17 @@ class TestDenoiseEndToEnd:
         assert ratio(direct.positions) < 0.9
         assert abs(ratio(shifted.positions - shift) - ratio(direct.positions)) <= 0.01
 
+    def test_default_run_denoises_a_10k_sphere(self):
+        # When CG stopped at cg_tol * ||rhs|| (default 1e-6), the right-hand
+        # side of this sphere (radius 19.7) was large enough that p-steps
+        # stopped after 0 iterations: ratio 0.902, exit 0, no warning.
+        clean = sphere_with_spacing(10000, 0.7)
+        radius = float(np.mean(np.linalg.norm(clean.positions, axis=1)))
+        noisy = add_gaussian_noise(clean, NoiseSpec(0.1, 1)).positions
+        out, _ = denoise(PointCloud(noisy), DenoiseParams(outer_max_iter=1))
+        off = lambda x: np.sqrt(np.mean((np.linalg.norm(x, axis=1) - radius) ** 2))
+        assert off(out.positions) / off(noisy) < 0.75
+
     def test_too_small_cloud_rejected(self):
         with pytest.raises(DegenerateCloudError):
             denoise(PointCloud(np.zeros((3, 3))), DenoiseParams())
@@ -471,7 +493,8 @@ class TestDenoiseEndToEnd:
         cloud = PointCloud(pts)
         params = DenoiseParams(outer_max_iter=1, admm_max_iter=30, admm_tol=1e-3,
                                window_budget=150, collinearity_tol=0.05)
-        out, diag = denoise(cloud, params)
+        with pytest.warns(UserWarning, match="oversized windows"):
+            out, diag = denoise(cloud, params)
         assert diag.meta["windows"] >= 2
         assert np.all(np.isfinite(out.positions))
         assert out.n == 300
