@@ -54,11 +54,10 @@ log = logging.getLogger("gtvdenoise")
 _PARAM_FIELDS = {f.name: type(f.default) for f in dataclass_fields(DenoiseParams)}
 
 
-def _coerce(key: str, text: str):
-    """Convert a config-file string to the type of the matching parameter."""
-    kind = _PARAM_FIELDS[key]
+def _coerce(key: str, text: str, kind: type):
+    """Convert a config-file string to kind (float, int, ...)."""
     try:
-        return kind(text.strip())
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"expected {kind.__name__} for {key!r}, got {text!r}") from exc
 
@@ -98,7 +97,7 @@ def build_params(
     if config_path:
         for key, text in parse_config_file(config_path).items():
             if key in _PARAM_FIELDS:
-                merged[key] = _coerce(key, text)
+                merged[key] = _coerce(key, text, _PARAM_FIELDS[key])
             else:
                 extra[key] = text
     for key in _PARAM_FIELDS:
@@ -126,34 +125,16 @@ def _write_echo(path: Path, params: DenoiseParams, extra: dict) -> None:
     log.info("effective config written to %s", path)
 
 
-def _config_float(cfg: dict, key: str, fallback: float | None) -> float | None:
-    if key in cfg:
-        try:
-            return float(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(f"expected a number for {key!r}, got {cfg[key]!r}") from exc
-    return fallback
-
-
-def _config_int(cfg: dict, key: str, fallback: int | None) -> int | None:
-    if key in cfg:
-        try:
-            return int(cfg[key])
-        except ValueError as exc:
-            raise ConfigError(f"expected an integer for {key!r}, got {cfg[key]!r}") from exc
-    return fallback
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
     params, extra = build_params(args.config, args)
-    sigma = args.sigma if args.sigma is not None else _config_float(extra, "sigma", None)
-    if sigma is None:
+    if args.sigma is None and "sigma" not in extra:
         raise UsageError("noise requires --sigma (or 'sigma' in the config file)")
-    seed = args.seed if args.seed is not None else _config_int(extra, "seed", 0)
+    sigma = args.sigma if args.sigma is not None else _coerce("sigma", extra["sigma"], float)
+    seed = args.seed if args.seed is not None else _coerce("seed", extra.get("seed", "0"), int)
     cloud = load_cloud(args.input, args.input_format)
     spec = NoiseSpec(sigma=sigma, seed=seed)
     noisy = add_gaussian_noise(cloud, spec)

@@ -21,9 +21,10 @@ m_ij = n_i - n_j. The scaled-form ADMM splits are:
 
 Each p-step is thus inexact, but its error shrinks by a fixed factor per
 step, which keeps ADMM convergent (Eckstein & Bertsekas 1992, Math.
-Programming 55). The stopping rule is on the primal residual; the scaled
-dual residual ||A^T D^T (m_k - m_{k-1})|| / ||A^T D^T u_k|| is recorded in
-the diagnostics only.
+Programming 55); near admm_tol the cut tightens (Eisenstat & Walker 1996),
+so a slow pass does not stall short of it. The stopping rule is on the
+primal residual; the scaled dual residual ||A^T D^T (m_k - m_{k-1})|| /
+||A^T D^T u_k|| is recorded in the diagnostics only.
 
 Red and blue passes alternate; each pass re-estimates support pairs,
 orientations and linearizations from the current positions of the other
@@ -63,8 +64,7 @@ class DenoiseParams:
     delta: float = 0.01          # GMRF regularization for the bipartition
     admm_tol: float = 1e-5
     admm_max_iter: int = 100
-    outer_tol: float = 1e-4
-    outer_max_iter: int = 10
+    outer_max_iter: int = 2      # red/blue passes; 2 beat 10 at these defaults
     collinearity_tol: float = DEFAULT_COLLINEARITY_TOL
     start_node: int = 0
     view_hops: int = 2
@@ -77,7 +77,7 @@ class DenoiseParams:
         for name in ("gamma", "collinearity_tol", "start_node"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("rho", "sigma_p", "delta", "admm_tol", "outer_tol"):
+        for name in ("rho", "sigma_p", "delta", "admm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("k", "admm_max_iter", "outer_max_iter", "view_hops",
@@ -117,9 +117,12 @@ class EdgeOperator:
         return np.einsum("vji,vj->vi", self.A, self.Dt @ y.reshape(-1, 3)).ravel()
 
 
-# Each p-step's CG cuts the residual of its warm start by CG_REDUCTION, in at
-# most CG_MAX_ITER iterations.
+# Each p-step's CG cuts its warm-start residual by CG_REDUCTION in at most
+# CG_MAX_ITER iterations, by CG_REDUCTION_NEAR_TOL after a primal residual
+# below NEAR_TOL_FACTOR * admm_tol.
 CG_REDUCTION = 0.1
+CG_REDUCTION_NEAR_TOL = 0.03
+NEAR_TOL_FACTOR = 10.0
 CG_MAX_ITER = 200
 
 
@@ -175,7 +178,8 @@ def assemble_edge_operator(
     block i, 2 I + rho deg_i A_i^T A_i, is inverted for the block-Jacobi
     preconditioner, which absorbs the spread of per-node gains ||A_i|| that
     slows unpreconditioned CG (Saad 2003, Iterative Methods for Sparse Linear
-    Systems, section 10.1).
+    Systems, section 10.1). A block that is singular in floating point, as a
+    near-degenerate support triple's gain makes it, raises DegenerateCloudError.
     """
     n = class_graph.node_count
     if A.shape != (n, 3, 3) or b.shape != (n, 3):
@@ -199,8 +203,13 @@ def assemble_edge_operator(
     diagonal = rows == L.indices
     blocks[diagonal] += 2.0 * np.eye(3)
     system = bsr_matrix((blocks, L.indices, L.indptr), shape=(3 * n, 3 * n)).tocsr()
-    preconditioner = bsr_matrix((np.linalg.inv(blocks[diagonal]), nodes,
-                                 np.arange(n + 1)), shape=system.shape).tocsr()
+    try:
+        inverses = np.linalg.inv(blocks[diagonal])
+    except np.linalg.LinAlgError:
+        largest = np.abs(A).max()
+        raise DegenerateCloudError(f"position system singular: normal model entries reach "
+                                   f"{largest:.3g} (near-degenerate support triple)") from None
+    preconditioner = bsr_matrix((inverses, nodes, np.arange(n + 1)), shape=system.shape).tocsr()
     return EdgeOperator(A, b, D, D.T.tocsr(), rho, system, preconditioner)
 
 
@@ -307,9 +316,11 @@ def admm_denoise_partite(
 
     t0 = time.perf_counter()
     first_residual = None
+    near_tol = NEAR_TOL_FACTOR * params.admm_tol
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
-        p, info = p_update(q, op, m, u, p0=p)
+        cut = CG_REDUCTION_NEAR_TOL if iteration > 1 and residual < near_tol else CG_REDUCTION
+        p, info = p_update(q, op, m, u, reduction=cut, p0=p)
         _require_finite(p, f"{label}: non-finite p-step value at node index")
         z = op.differences(p)
         m_prev = m
@@ -408,8 +419,8 @@ def denoise(
     """Denoise a cloud; returns the result plus a diagnostics report.
 
     Builds the k-NN graph and the red/blue bipartition of the noisy input
-    once per cloud, then alternates red and blue ADMM passes until the
-    relative position change drops below outer_tol. Nodes without a valid
+    once per cloud, then runs outer_max_iter red/blue ADMM passes, ending
+    early after a pass that moved no point. Nodes without a valid
     support pair stay at their observed positions. Clouds larger than
     window_budget run their passes in overlapping spatial windows, each on
     the cloud's graph and bipartition restricted to its points. A
@@ -486,7 +497,7 @@ def _denoise_core(
     diag: DiagnosticsReport,
     label_prefix: str,
 ) -> np.ndarray:
-    """Alternate red and blue passes over one window's points until outer_tol.
+    """outer_max_iter red/blue passes over one window's points; one that moves none ends them.
 
     graph and assignment are the cloud's k-NN graph and bipartition
     restricted to the window, in the order of q_obs.
@@ -503,7 +514,7 @@ def _denoise_core(
         denom = max(float(np.linalg.norm(prev)), np.finfo(np.float64).tiny)
         change = float(np.linalg.norm(p_cur - prev)) / denom
         diag.outer_changes.append((f"{label_prefix}{outer}", change))
-        if change <= params.outer_tol:
+        if change == 0.0:
             break
     diag.meta["no_support_pair_events"] = diag.meta.get("no_support_pair_events", 0) + skipped
     return p_cur

@@ -69,23 +69,27 @@ class TestConfigParsing:
         import argparse
 
         cfg = tmp_path / "c.cfg"
-        # recompute_bipartition, cg_tol and cg_max_iter were solver parameters;
-        # old echoes still load, and echo those keys back unchanged
+        # recompute_bipartition, cg_tol, cg_max_iter and outer_tol were solver
+        # parameters; old echoes still load, and echo those keys back unchanged
         cfg.write_text("sigma = 0.1\nseed = 3\nrecompute_bipartition = False\n"
-                       "cg_tol = 1e-8\ncg_max_iter = 500\n")
+                       "cg_tol = 1e-8\ncg_max_iter = 500\nouter_tol = 1e-4\n")
         params, extra = build_params(str(cfg), argparse.Namespace())
         assert extra == {"sigma": "0.1", "seed": "3", "recompute_bipartition": "False",
-                         "cg_tol": "1e-8", "cg_max_iter": "500"}
+                         "cg_tol": "1e-8", "cg_max_iter": "500", "outer_tol": "1e-4"}
+        assert params == DenoiseParams()
         echo = effective_config_text(params, extra)
-        assert "\ncg_tol = 1e-8\ncg_max_iter = 500\n" in echo
+        assert "\ncg_tol = 1e-8\ncg_max_iter = 500\nouter_tol = 1e-4\n" in echo
 
-    def test_no_cg_knobs(self, capsys):
-        # CG stops on a fixed reduction of its warm-start residual
-        assert len(fields(DenoiseParams)) == 13
-        with pytest.raises(SystemExit):
-            main(["denoise", "--help"])
-        text = capsys.readouterr().out
-        assert "--admm-tol" in text and "--cg-" not in text
+    def test_no_removed_knobs(self, capsys):
+        # CG stops on a fixed reduction of its warm-start residual, and a run
+        # does outer_max_iter red/blue passes with no outer tolerance
+        assert len(fields(DenoiseParams)) == 12
+        for command in ("noise", "denoise", "inspect", "bench"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out
+            assert "--outer-max-iter" in text
+            assert "--cg-" not in text and "--outer-tol" not in text
 
     def test_invalid_value_rejected(self, tmp_path):
         import argparse

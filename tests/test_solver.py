@@ -11,7 +11,7 @@ from gtvdenoise.errors import ConfigError, DegenerateCloudError, MissingLineariz
 from gtvdenoise.graph import SpatialIndex, WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import c2p
 from gtvdenoise.normals import affine_normals
-from gtvdenoise.synthetic import rounded_box, sphere_with_spacing
+from gtvdenoise.synthetic import jittered_plane, rounded_box, sphere_with_spacing
 from gtvdenoise.solver import (
     DenoiseParams,
     DiagnosticsReport,
@@ -81,8 +81,7 @@ class TestDenoiseParams:
         for bad in (dict(collinearity_tol=-1e-8), dict(view_hops=0), dict(start_node=-1)):
             with pytest.raises(ValueError):
                 DenoiseParams(**bad)
-        for name in ("gamma", "rho", "sigma_p", "delta", "admm_tol", "outer_tol",
-                     "collinearity_tol"):
+        for name in ("gamma", "rho", "sigma_p", "delta", "admm_tol", "collinearity_tol"):
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     DenoiseParams(**{name: value})
@@ -446,6 +445,25 @@ class TestDenoiseEndToEnd:
         out, _ = denoise(noisy, DenoiseParams(gamma=0.0, outer_max_iter=2))
         np.testing.assert_array_equal(out.positions, noisy.positions)
 
+    def test_gamma_zero_stops_after_one_pass(self):
+        # a pass that moved nothing ends the run, whatever outer_max_iter says
+        _, noisy = self._noisy_plane()
+        _, diag = denoise(noisy, DenoiseParams(gamma=0.0))
+        assert diag.outer_changes == [("1", 0.0)]
+
+    def test_converge_mode_plane_meets_admm_tol_in_every_pass(self):
+        # With CG cutting each warm-start residual by 0.1 throughout, pass
+        # outer2:red of this plane stopped at the 1500-iteration cap at primal
+        # 1.86e-4; a 0.03 cut near admm_tol ends it in a few hundred.
+        clean = jittered_plane(30, 30, 0.7, jitter=0.1, seed=17).positions
+        noise = np.random.Generator(np.random.PCG64([17, 1])).standard_normal(clean.shape)
+        params = DenoiseParams(outer_max_iter=3, admm_max_iter=1500, admm_tol=1e-4,
+                               collinearity_tol=0.05)
+        _, diag = denoise(PointCloud(clean + 0.1 * noise), params)
+        finals = diag.final_rows()
+        assert len(finals) == 6
+        assert all(res <= params.admm_tol for _, _, res, *_ in finals)
+
     def test_deterministic(self):
         _, noisy = self._noisy_plane()
         params = DenoiseParams(outer_max_iter=2, admm_max_iter=100, admm_tol=1e-4)
@@ -479,7 +497,7 @@ class TestDenoiseEndToEnd:
         clean = sphere_with_spacing(10000, 0.7)
         radius = float(np.mean(np.linalg.norm(clean.positions, axis=1)))
         noisy = add_gaussian_noise(clean, NoiseSpec(0.1, 1)).positions
-        out, _ = denoise(PointCloud(noisy), DenoiseParams(outer_max_iter=1))
+        out, _ = denoise(PointCloud(noisy))
         off = lambda x: np.sqrt(np.mean((np.linalg.norm(x, axis=1) - radius) ** 2))
         assert off(out.positions) / off(noisy) < 0.75
 
