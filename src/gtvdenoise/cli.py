@@ -215,7 +215,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         else:  # normals
             cls = RED if args.which == "red" else BLUE
             field, failed = estimate_normal_field(
-                cloud.positions, graph, part.assignment, cls, params.k,
+                cloud.positions, graph, part.assignment, cls, params.k, params.sigma_p,
                 params.collinearity_tol,
             )
             if failed:

@@ -6,8 +6,8 @@ Neighbor queries are exact (kd-tree with full backtracking) and distance
 ties are broken by the smaller point index, which makes the graph
 independent of point insertion order.
 
-knn_adjacency builds the union-symmetrized k-NN pattern, the one pattern
-that the k-NN graph and the normal orientation share. A WeightedGraph
+knn_adjacency builds the union-symmetrized k-NN pattern of build_knn_graph,
+which makes both the cloud's graph and each pass's class graph. A WeightedGraph
 keeps its edges as canonical arrays plus a cached symmetric CSR
 adjacency, which callers slice by row, walk for the window layout or hand
 to scipy.sparse.csgraph; subgraph restricts it to one window's points.

@@ -131,8 +131,8 @@ def c2p(ground, test, k: int = 8) -> tuple[DirectedMetric, int]:
         d_plane = np.where(bad, dist, d_plane)
         degenerate_total += int(np.count_nonzero(bad))
         # Planes pass through the matched point, so they can never be
-        # farther than the point itself.
-        assert np.all(d_plane <= dist + 1e-12)
+        # farther than the point itself, up to a few ulps of rounding.
+        assert np.all(d_plane <= dist * (1.0 + 8.0 * np.finfo(np.float64).eps))
         means.append(float(np.mean(d_plane**2)))
     return DirectedMetric(means[0], means[1]), degenerate_total
 

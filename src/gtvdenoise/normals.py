@@ -8,9 +8,9 @@ That cross product is affine in p_i:
     C = skew(p_l - p_k),  d = p_k x p_l,
 
 where skew(v) is the matrix with skew(v) @ x == v x x. Dividing by the
-norm at a chosen linearization point gives n_i ~ A p_i + b. Signs are
-made globally consistent with a minimum spanning tree walk. A class's
-models are kept as stacked arrays (see affine_normals).
+norm at a chosen linearization point gives n_i ~ A p_i + b. Signs agree
+along a spanning forest of the class's own k-NN graph. A class's models
+are kept as stacked arrays (see affine_normals).
 
 Support pairs are chosen for a whole class at once (support_pairs), one
 vectorized step per candidate rank; nodes left unpaired are retried
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
-from .graph import SpatialIndex, WeightedGraph, knn_adjacency
+from .graph import SpatialIndex, WeightedGraph, build_knn_graph
 
 DEFAULT_COLLINEARITY_TOL = 1e-8
 
@@ -44,6 +44,7 @@ class NormalField:
     b: np.ndarray                # (m, 3)
     alpha: np.ndarray            # (m,) orientation signs, +1 or -1
     pairs: np.ndarray            # (m, 2) support pair (k, l) of each node
+    graph: WeightedGraph | None  # class k-NN graph on the m nodes; None when m == 0
 
 
 def affine_normals(p_i: np.ndarray, p_k: np.ndarray, p_l: np.ndarray):
@@ -125,42 +126,43 @@ def _padded(row: np.ndarray, ids: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def orient_normals(positions: np.ndarray, normals: np.ndarray, k: int) -> np.ndarray:
-    """Sign choices (+1/-1) making normals of nearby nodes agree.
+def orient_normals(positions: np.ndarray, normals: np.ndarray, graph: WeightedGraph) -> np.ndarray:
+    """Sign choices (+1/-1) making normals of nodes adjacent in graph agree.
 
-    Builds the union-symmetrized k-NN graph over the nodes with edge cost
-    max(1 - |n_i . n_j|, tiny), takes a minimum spanning forest of it
-    (scipy.sparse.csgraph; exactly tied costs follow scipy's tie rule),
-    roots each tree at its maximum-z node (smaller index on ties) with the
-    root's normal signed toward non-negative z, and propagates signs so
-    every tree edge has (alpha_i n_i) . (alpha_j n_j) >= 0. The tiny floor
-    keeps zero-cost edges, which scipy would drop, without reordering
-    costs: the smallest positive 1 - |dot| is about 1.1e-16.
+    Takes a minimum spanning forest of graph's edges at cost
+    max(1 - |n_i . n_j|, tiny) (scipy.sparse.csgraph; exactly tied costs
+    follow scipy's tie rule), roots each tree at its maximum-z node (smaller
+    index on ties) with the root's normal signed toward non-negative z, and
+    gives every tree edge (alpha_i n_i) . (alpha_j n_j) >= 0: a node keeps
+    its root's sign iff its tree path crosses an even number of edges with
+    dot < 0. The tiny floor keeps zero-cost edges, which scipy would drop,
+    without reordering costs: the smallest positive 1 - |dot| is ~1.1e-16.
     """
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     n = positions.shape[0]
-    if normals.shape != (n, 3):
-        raise ValueError(f"normals shape {normals.shape} does not match {n} nodes")
+    if normals.shape != (n, 3) or graph.node_count != n:
+        raise ValueError(f"normals shape {normals.shape} or graph does not match {n} nodes")
 
-    adj = knn_adjacency(positions, min(k, n - 1))
+    adj = graph.adjacency
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
     dots = np.einsum("ij,ij->i", normals[rows], normals[adj.indices])
-    costs = csr_matrix(
-        (np.maximum(1.0 - np.abs(dots), np.finfo(np.float64).tiny), adj.indices, adj.indptr),
-        shape=(n, n),
-    )
+    costs = csr_matrix((np.maximum(1.0 - np.abs(dots), np.finfo(np.float64).tiny),
+                        adj.indices, adj.indptr), shape=(n, n))
     forest = minimum_spanning_tree(costs)
-    n_comp, labels = connected_components(forest, directed=False)
-    alphas = np.ones(n, dtype=np.int8)
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        root = int(members[np.argmax(positions[members, 2])])  # first max = smallest index
-        alphas[root] = 1 if normals[root, 2] >= 0 else -1
-        order, parent = breadth_first_order(forest, root, directed=False)
-        for u in order[1:]:
-            alphas[u] = alphas[parent[u]] * (1 if normals[parent[u]] @ normals[u] >= 0 else -1)
-    return alphas
+    _, labels = connected_components(forest, directed=False)
+    by_tree = np.lexsort((-positions[:, 2], labels))  # highest z first, then smaller index
+    roots = by_tree[np.unique(labels[by_tree], return_index=True)[1]]
+    # The parity is read off the forest's signed double cover on nodes u and u + n: an
+    # agreeing tree edge joins u - v and u+n - v+n, a disagreeing one u - v+n and u+n - v.
+    u, v = forest.nonzero()
+    flip = n * (np.einsum("ij,ij->i", normals[u], normals[v]) < 0)
+    cover = csr_matrix((np.ones(2 * u.size), (np.concatenate([u, u + n]),
+                                              np.concatenate([v + flip, v + n - flip]))),
+                       shape=(2 * n, 2 * n))
+    _, side = connected_components(cover, directed=False)
+    up = np.where(normals[roots, 2] >= 0, 1, -1).astype(np.int8)[labels]
+    return np.where(side[:n] == side[roots[labels]], up, -up)
 
 
 def estimate_normal_field(
@@ -169,9 +171,10 @@ def estimate_normal_field(
     assignment: np.ndarray,
     opt_class: int,
     k: int,
+    sigma_p: float,
     tol: float = DEFAULT_COLLINEARITY_TOL,
 ) -> tuple[NormalField, list[int]]:
-    """Support pairs, oriented normals and linearizations for one class.
+    """Support pairs, class graph, oriented normals and linearizations for one class.
 
     positions are the current coordinates of all nodes; graph is the
     original k-NN graph (fixed topology); assignment maps nodes to
@@ -182,6 +185,10 @@ def estimate_normal_field(
     collinear) are retried together on the k, then 2k, then 4k nearest
     nodes of the other class (capped at its size). Nodes with no valid
     pair are skipped and returned, ascending, in the failure list.
+
+    The paired nodes' class graph, which orients their normals, is their k-NN
+    graph (k capped at their count - 1, bandwidth sigma_p), or edgeless when
+    fewer than 2 are paired or all of them coincide.
     """
     positions = np.asarray(positions, dtype=np.float64)
     assignment = np.asarray(assignment)
@@ -212,15 +219,19 @@ def estimate_normal_field(
         empty = np.zeros((0, 3))
         return NormalField(np.array([], dtype=np.int64), empty, np.zeros((0, 3, 3)),
                            empty, np.zeros(0, dtype=np.int8),
-                           np.zeros((0, 2), dtype=np.int64)), failed
+                           np.zeros((0, 2), dtype=np.int64), None), failed
 
     ids_arr, pairs_arr = opt_ids[ok], pairs[ok]
     pi = positions[ids_arr]
     raw, _, _, A, b = affine_normals(pi, positions[pairs_arr[:, 0]], positions[pairs_arr[:, 1]])
-    alphas = orient_normals(pi, raw, k)
+    class_graph = (build_knn_graph(pi, min(k, ids_arr.size - 1), sigma_p)
+                   if ids_arr.size >= 2 and not np.all(pi == pi[0])
+                   else WeightedGraph(ids_arr.size, [], [], []))
+    alphas = orient_normals(pi, raw, class_graph)
     A *= alphas[:, None, None]
     b *= alphas[:, None]
-    return NormalField(ids_arr, raw * alphas[:, None], A, b, alphas, pairs_arr), failed
+    return NormalField(ids_arr, raw * alphas[:, None], A, b, alphas, pairs_arr,
+                       class_graph), failed
 
 
 def normal_field_lines(field: NormalField):

@@ -26,9 +26,9 @@ so a slow pass does not stall short of it. The stopping rule is on the
 primal residual; the scaled dual residual ||A^T D^T (m_k - m_{k-1})|| /
 ||A^T D^T u_k|| is recorded in the diagnostics only.
 
-Red and blue passes alternate; each pass re-estimates support pairs,
-orientations and linearizations from the current positions of the other
-class and rebuilds the class's own k-NN graph from current positions.
+Red and blue passes alternate; each pass re-estimates support pairs from
+the other class's current positions, and linearizations and the class's
+own k-NN graph, which also orients the normals, from its own.
 """
 
 from __future__ import annotations
@@ -360,8 +360,7 @@ def admm_denoise_partite(
 
 
 # Stage timers of DiagnosticsReport.meta, in pipeline order.
-STAGE_KEYS = ("seconds_graph", "seconds_bipartition", "seconds_normals",
-              "seconds_class_graph", "seconds_admm")
+STAGE_KEYS = ("seconds_graph", "seconds_bipartition", "seconds_normals", "seconds_admm")
 
 
 @contextmanager
@@ -384,31 +383,20 @@ def _class_pass(
     label: str,
     diag: DiagnosticsReport,
 ) -> int:
-    """One red or blue pass: estimate normals, build the class graph, run ADMM.
+    """One red or blue pass: estimate normals and the class graph, run ADMM.
 
     Mutates p_cur in place for the optimized nodes; returns the number of
     nodes skipped for lack of a support pair.
     """
     with _stage(diag, "seconds_normals"):
-        field_, failed = estimate_normal_field(
-            p_cur, graph, assignment, cls, params.k, params.collinearity_tol
-        )
+        field_, failed = estimate_normal_field(p_cur, graph, assignment, cls, params.k,
+                                               params.sigma_p, params.collinearity_tol)
     active = field_.ids
     if active.size == 0:
         return len(failed)
-    sub_positions = p_cur[active]
-    with _stage(diag, "seconds_class_graph"):
-        if active.size >= 2 and not np.all(sub_positions == sub_positions[0]):
-            k_eff = min(params.k, active.size - 1)
-            class_graph = build_knn_graph(sub_positions, k_eff, params.sigma_p)
-        else:
-            class_graph = WeightedGraph(active.size, np.array([], dtype=np.int64),
-                                        np.array([], dtype=np.int64), np.array([]))
-    q_sub = q_obs[active].ravel()
     with _stage(diag, "seconds_admm"):
-        p_new = admm_denoise_partite(
-            q_sub, class_graph, field_.A, field_.b, params, label=label, collector=diag
-        )
+        p_new = admm_denoise_partite(q_obs[active].ravel(), field_.graph, field_.A, field_.b,
+                                     params, label=label, collector=diag)
     p_cur[active] = p_new.reshape(-1, 3)
     return len(failed)
 
@@ -435,9 +423,9 @@ def denoise(
     cg_iterations totals the CG iterations of all p-steps, and
     cg_steps_at_cap counts p-steps that stopped at CG_MAX_ITER short of
     their residual target. seconds_graph and seconds_bipartition
-    time the cloud's graph and bipartition; seconds_normals,
-    seconds_class_graph and seconds_admm sum each stage over passes and
-    windows. bipartition_levels counts the bipartition's dependency levels,
+    time the cloud's graph and bipartition; seconds_normals (support pairs,
+    class graph and orientation) and seconds_admm sum each stage over passes
+    and windows. bipartition_levels counts the bipartition's dependency levels,
     and red_nodes and blue_nodes its class sizes.
     """
     if params is None:

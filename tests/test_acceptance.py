@@ -133,7 +133,7 @@ def test_flat_cloud_flattens_and_normals_realign(verdict, planar_run):
     # near-sliver support triples the solver tolerated would turn leftover
     # jitter into wildly tilted normals and say nothing about alignment
     field, failed = estimate_normal_field(
-        r.denoised.positions, graph, assign, RED, r.params.k, tol=0.2
+        r.denoised.positions, graph, assign, RED, r.params.k, r.params.sigma_p, tol=0.2
     )
     angles = np.degrees(np.arccos(np.clip(np.abs(field.normals[:, 2]), 0.0, 1.0)))
     aligned = float(np.mean(angles <= 10.0))

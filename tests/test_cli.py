@@ -171,7 +171,7 @@ class TestDenoiseCommand:
         lines = [r.getMessage() for r in caplog.records
                  if r.levelno == logging.DEBUG and r.getMessage().startswith("stage seconds")]
         assert len(lines) == 1
-        for stage in ("graph", "bipartition", "normals", "class_graph", "admm"):
+        for stage in ("graph", "bipartition", "normals", "admm"):
             assert f"{stage} " in lines[0]
         text = (tmp_path / "v.xyz.diag").read_text()
         levels = int(text.split("\nbipartition_levels: ")[1].split("\n")[0])

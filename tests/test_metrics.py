@@ -84,6 +84,21 @@ class TestC2P:
         assert mp.forward <= mc.forward + 1e-12
         assert mp.backward <= mc.backward + 1e-12
 
+    def test_far_apart_clouds_stay_within_the_point_distance(self):
+        # a patch 1e4 away along its normal: the plane distance equals the
+        # point distance up to rounding, which an absolute slack of 1e-12
+        # did not cover at this scale
+        rng = np.random.default_rng(0)
+        xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
+        patch = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(400)])
+        for _ in range(20):
+            rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            a = patch @ rot.T
+            b = a + 1e4 * rot[:, 2] + 1e-3 * rng.normal(size=a.shape)
+            m, degenerate = c2p(a, b)
+            assert degenerate == 0
+            assert m.symmetric == pytest.approx(1e8, rel=1e-6)
+
     def test_degenerate_fallback_counted(self):
         # every dst point identical: no plane, falls back to point distance
         a = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0], [1, 1, 1.0]])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, minimum_spanning_tree
 
 from gtvdenoise.bipartite import RED, approximate_bipartite
-from gtvdenoise.graph import build_knn_graph
+from gtvdenoise.graph import WeightedGraph, build_knn_graph
 from gtvdenoise.normals import (
     DEFAULT_COLLINEARITY_TOL,
     affine_normals,
@@ -141,7 +143,7 @@ class TestLinearize:
         # the field's models are the unsigned ones times the orientation sign
         pos, graph, bp = TestEstimateNormalField()._plane_setup(seed=9)
         pos[:, 2] = np.random.default_rng(9).normal(scale=0.1, size=pos.shape[0])
-        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
+        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8, sigma_p=1.5)
         pk, pl = pos[field.pairs[:, 0]], pos[field.pairs[:, 1]]
         n, _, _, A, b = affine_normals(pos[field.ids], pk, pl)
         assert set(np.unique(field.alpha)) == {-1, 1}
@@ -187,14 +189,83 @@ class TestSupportPair:
                              np.zeros((4, 3))).shape == (0, 2)
 
 
+def reference_orientation(positions, normals, graph):
+    """Signs by a breadth-first walk of each tree of the minimum spanning forest.
+
+    Same forest as orient_normals; each tree is rooted at its first maximum-z
+    node and signs pass from parent to child one node at a time.
+    """
+    n = positions.shape[0]
+    adj = graph.adjacency
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    dots = np.einsum("ij,ij->i", normals[rows], normals[adj.indices])
+    costs = csr_matrix((np.maximum(1.0 - np.abs(dots), np.finfo(np.float64).tiny),
+                        adj.indices, adj.indptr), shape=(n, n))
+    forest = minimum_spanning_tree(costs)
+    n_comp, labels = connected_components(forest, directed=False)
+    alphas = np.ones(n, dtype=np.int8)
+    for comp in range(n_comp):
+        members = np.flatnonzero(labels == comp)
+        root = int(members[np.argmax(positions[members, 2])])  # first max = smallest index
+        alphas[root] = 1 if normals[root, 2] >= 0 else -1
+        order, parent = breadth_first_order(forest, root, directed=False)
+        for u in order[1:]:
+            alphas[u] = alphas[parent[u]] * (1 if normals[parent[u]] @ normals[u] >= 0 else -1)
+    return alphas, forest
+
+
+def random_orientation_case(rng):
+    """Positions, normals and class k-NN graph of 1-5 far-apart clusters.
+
+    Lattice clusters add exact distance ties and coincident points; axis
+    normals add exactly tied costs and tree edges with dot exactly 0.
+    """
+    k = int(rng.integers(1, 9))
+    clusters = []
+    for c in range(rng.integers(1, 6)):
+        size = int(rng.integers(k + 1, k + 15))
+        lattice = rng.random() < 0.5
+        pts = (rng.integers(-2, 3, (size, 3)).astype(float) if lattice
+               else rng.normal(size=(size, 3)))
+        clusters.append(pts + 100.0 * c)
+    positions = np.concatenate(clusters)
+    n = positions.shape[0]
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    axis = rng.random(n) < rng.random()
+    normals[axis] = np.eye(3)[rng.integers(3, size=axis.sum())] * rng.choice([-1.0, 1.0],
+                                                                             (axis.sum(), 1))
+    return positions, normals, build_knn_graph(positions, min(k, n - 1), 1.5)
+
+
 class TestOrientation:
+    def test_matches_the_breadth_first_reference(self):
+        rng = np.random.default_rng(30)
+        several = orthogonal = 0
+        for _ in range(300):
+            positions, normals, graph = random_orientation_case(rng)
+            want, forest = reference_orientation(positions, normals, graph)
+            np.testing.assert_array_equal(orient_normals(positions, normals, graph), want)
+            u, v = forest.nonzero()
+            several += connected_components(forest, directed=False)[0] > 1
+            orthogonal += np.any(np.einsum("ij,ij->i", normals[u], normals[v]) == 0)
+        # the cases cover forests of several trees and tree edges at dot 0
+        assert several > 100 and orthogonal > 50
+
+    def test_edgeless_graph_signs_every_node_by_its_z(self):
+        rng = np.random.default_rng(31)
+        normals = rng.normal(size=(50, 3))
+        normals[:5, 2] = 0.0
+        alphas = orient_normals(rng.normal(size=(50, 3)), normals, WeightedGraph(50, [], [], []))
+        np.testing.assert_array_equal(alphas, np.where(normals[:, 2] >= 0, 1, -1))
+
     def test_flat_patch_all_agree(self):
         rng = np.random.default_rng(5)
         pos = np.zeros((30, 3))
         pos[:, :2] = rng.uniform(0, 5, size=(30, 2))
         normals = np.tile([0.0, 0, 1], (30, 1))
         normals[::2] *= -1  # scramble signs
-        alphas = orient_normals(pos, normals, k=4)
+        alphas = orient_normals(pos, normals, build_knn_graph(pos, 4, 1.5))
         oriented = normals * alphas[:, None]
         assert np.all(oriented[:, 2] > 0)
 
@@ -207,14 +278,15 @@ class TestOrientation:
         pos[:, 1:] = rng.uniform(0, 5, size=(30, 2))
         normals = np.tile([1.0, 0, 0], (30, 1))
         normals[rng.permutation(30)[:15]] *= -1  # scramble signs
-        alphas = orient_normals(pos, normals, k=4)
+        alphas = orient_normals(pos, normals, build_knn_graph(pos, 4, 1.5))
         oriented = normals * alphas[:, None]
         np.testing.assert_array_equal(oriented, np.tile(oriented[0], (30, 1)))
 
     def test_root_points_up(self):
         # single node: sign toward non-negative z
-        assert orient_normals(np.zeros((1, 3)), np.array([[0, 0, -1.0]]), 3)[0] == -1
-        assert orient_normals(np.zeros((1, 3)), np.array([[0, 0, 1.0]]), 3)[0] == 1
+        lone = WeightedGraph(1, [], [], [])
+        assert orient_normals(np.zeros((1, 3)), np.array([[0, 0, -1.0]]), lone)[0] == -1
+        assert orient_normals(np.zeros((1, 3)), np.array([[0, 0, 1.0]]), lone)[0] == 1
 
     def test_sphere_patch_outward_consistency(self):
         # normals on a hemisphere cap with random sign flips: after
@@ -227,14 +299,16 @@ class TestOrientation:
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
         flips = rng.choice([-1.0, 1.0], size=n)
-        alphas = orient_normals(dirs, dirs * flips[:, None], k=6)
+        alphas = orient_normals(dirs, dirs * flips[:, None], build_knn_graph(dirs, 6, 1.5))
         oriented = dirs * (flips * alphas)[:, None]
         # outward means positive dot with the radial direction
         assert np.all(np.sum(oriented * dirs, axis=1) > 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            orient_normals(np.zeros((3, 3)), np.zeros((2, 3)), 2)
+            orient_normals(np.zeros((3, 3)), np.zeros((2, 3)), WeightedGraph(3, [], [], []))
+        with pytest.raises(ValueError):
+            orient_normals(np.zeros((3, 3)), np.zeros((3, 3)), WeightedGraph(2, [], [], []))
 
 
 class TestEstimateNormalField:
@@ -248,7 +322,7 @@ class TestEstimateNormalField:
 
     def test_flat_cloud_normals_along_z(self):
         pos, graph, bp = self._plane_setup()
-        field, failed = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
+        field, failed = estimate_normal_field(pos, graph, bp.assignment, RED, k=8, sigma_p=1.5)
         assert failed == []
         assert len(field.ids) == bp.red.size
         np.testing.assert_allclose(np.abs(field.normals[:, 2]), 1.0, atol=1e-9)
@@ -257,7 +331,7 @@ class TestEstimateNormalField:
 
     def test_support_pairs_come_from_opposite_class(self):
         pos, graph, bp = self._plane_setup()
-        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
+        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8, sigma_p=1.5)
         assert field.pairs.shape == (field.ids.size, 2)
         for i, (k, l) in zip(field.ids, field.pairs):
             assert k != l and i not in (k, l)
@@ -267,7 +341,7 @@ class TestEstimateNormalField:
 
     def test_linearization_matches_normal(self):
         pos, graph, bp = self._plane_setup(seed=8)
-        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8)
+        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=8, sigma_p=1.5)
         np.testing.assert_allclose(
             np.einsum("nij,nj->ni", field.A, pos[field.ids]) + field.b,
             field.normals, atol=1e-12,
@@ -288,17 +362,42 @@ class TestEstimateNormalField:
         )
         graph = build_knn_graph(pos, k=2, sigma_p=5.0)
         assignment = np.array([0, 1, 1, 1, 0, 0])
-        field, failed = estimate_normal_field(pos, graph, assignment, RED, k=2, tol=1e-6)
+        field, failed = estimate_normal_field(pos, graph, assignment, RED, k=2, sigma_p=5.0,
+                                              tol=1e-6)
         assert 0 not in failed
         t = list(field.ids).index(0)
         assert set(field.pairs[t].tolist()) <= {1, 2, 3}
+
+    @pytest.mark.parametrize("n, k", [(120, 8), (40, 3), (9, 8)])
+    def test_class_graph_is_the_knn_graph_of_the_paired_nodes(self, n, k):
+        rng = np.random.default_rng(n)
+        pos = rng.uniform(0, 5, size=(n, 3))
+        pos[:, 2] *= 0.1
+        graph = build_knn_graph(pos, min(k, n - 1), sigma_p=1.5)
+        bp = approximate_bipartite(graph)
+        field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=k, sigma_p=0.7)
+        want = build_knn_graph(pos[field.ids], min(k, field.ids.size - 1), 0.7)
+        assert field.graph.node_count == field.ids.size
+        for name in ("ei", "ej", "w"):
+            np.testing.assert_array_equal(getattr(field.graph, name), getattr(want, name))
+
+    def test_class_graph_of_coincident_nodes_is_edgeless(self):
+        pos = np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 0],
+                        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        graph = build_knn_graph(pos, k=3, sigma_p=1.5)
+        assignment = np.array([0, 0, 0, 1, 1, 1, 1])
+        field, failed = estimate_normal_field(pos, graph, assignment, RED, k=3, sigma_p=1.5)
+        assert failed == [] and field.ids.tolist() == [0, 1, 2]
+        assert field.graph.node_count == 3 and field.graph.edge_count == 0
+        # every node is its own tree's root, signed toward non-negative z
+        assert np.all(field.normals[:, 2] >= 0)
 
     def test_all_collinear_reports_failure(self):
         pos = np.zeros((6, 3))
         pos[:, 0] = np.arange(6)  # everything on the x axis
         graph = build_knn_graph(pos, k=2, sigma_p=5.0)
         assignment = np.array([0, 1, 0, 1, 0, 1])
-        field, failed = estimate_normal_field(pos, graph, assignment, RED, k=2)
+        field, failed = estimate_normal_field(pos, graph, assignment, RED, k=2, sigma_p=5.0)
         assert len(field.ids) == 0
         assert sorted(failed) == [0, 2, 4]
 
@@ -307,7 +406,7 @@ def test_normal_field_lines_format():
     pos = np.array([[0, 0, 0.0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 2.0]])
     graph = build_knn_graph(pos, k=3, sigma_p=1.5)
     bp = approximate_bipartite(graph)
-    field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=3)
+    field, _ = estimate_normal_field(pos, graph, bp.assignment, RED, k=3, sigma_p=1.5)
     lines = list(normal_field_lines(field))
     assert len(lines) == len(field.ids)
     head = lines[0].split()

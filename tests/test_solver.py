@@ -1,5 +1,8 @@
 """ADMM solver pieces: PCG, the m- and u-steps, edge operator, full denoise."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -431,14 +434,25 @@ class TestDenoiseEndToEnd:
         _, diag = denoise(noisy, params)
         seconds = [diag.meta[key] for key in solver.STAGE_KEYS]
         assert list(solver.STAGE_KEYS) == ["seconds_graph", "seconds_bipartition",
-                                           "seconds_normals", "seconds_class_graph",
-                                           "seconds_admm"]
+                                           "seconds_normals", "seconds_admm"]
         assert all(s >= 0 for s in seconds)
         assert sum(seconds) <= diag.meta["seconds_total"]
         assert diag.meta["seconds_admm"] > 0
         # one bipartition of the whole cloud, windowed or not
         assert diag.meta["bipartition_levels"] >= 1
         assert diag.meta["red_nodes"] + diag.meta["blue_nodes"] == noisy.n
+
+    @pytest.mark.parametrize("window_budget", [20000, 200], ids=["direct", "windowed"])
+    def test_readme_documents_every_diag_key(self, window_budget):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        _, noisy = self._noisy_plane(n_side=16)
+        _, diag = denoise(noisy, DenoiseParams(outer_max_iter=1, admm_max_iter=5,
+                                               window_budget=window_budget))
+        assert ("windows" in diag.meta) == (window_budget < noisy.n)
+        keys = {"param_*" if key.startswith("param_") else key for key in diag.meta}
+        assert sorted(key for key in keys if f"`{key}`" not in readme) == []
+        # and no stage timer is documented that the run does not record
+        assert set(re.findall(r"`(seconds_\w+)`", readme)) <= set(diag.meta)
 
     def test_gamma_zero_identity(self):
         _, noisy = self._noisy_plane()
@@ -546,7 +560,8 @@ class TestDenoiseEndToEnd:
     @pytest.mark.parametrize("window_budget", [20000, 500], ids=["direct", "windowed"])
     def test_one_graph_and_one_bipartition_per_cloud(self, monkeypatch, window_budget):
         # windows only split the passes: the k-NN graph and the bipartition
-        # are built once, on all points, from the given start_node
+        # are built once, on all points, from the given start_node; the class
+        # graphs are built with the normals, outside the solver module
         clean = rounded_box(800, 0.7, 2.0, seed=1)
         noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=1))
         params = DenoiseParams(window_budget=window_budget, start_node=450,
@@ -566,8 +581,7 @@ class TestDenoiseEndToEnd:
         out, diag = denoise(noisy, params)
         assert np.all(np.isfinite(out.positions))
         assert bipartitions == [(noisy.n, 450)]
-        # the later calls build the class graphs, each on part of one window
-        assert graph_sizes[0] == noisy.n and max(graph_sizes[1:]) < noisy.n
+        assert graph_sizes == [noisy.n]
         assert diag.meta["red_nodes"] + diag.meta["blue_nodes"] == noisy.n
         assert diag.meta.get("windows", 1) == (1 if window_budget > noisy.n else 4)
 
