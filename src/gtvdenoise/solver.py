@@ -26,6 +26,13 @@ so a slow pass does not stall short of it. The stopping rule is on the
 primal residual; the scaled dual residual ||A^T D^T (m_k - m_{k-1})|| /
 ||A^T D^T u_k|| is recorded in the diagnostics only.
 
+An iteration makes two adjoint products, those of the dual residual: the
+first updates a running A^T D^T (m - D b), started once per pass, so the
+next right-hand side needs no adjoint of its own. CG starts from the
+previous step's true residual moved to the new right-hand side, so only a
+pass's first step computes its start residual; every accepted step is
+still verified against a true residual (see p_update).
+
 Red and blue passes alternate; each pass re-estimates support pairs from
 the other class's current positions, and linearizations and the class's
 own k-NN graph, which also orients the normals, from its own.
@@ -126,10 +133,11 @@ NEAR_TOL_FACTOR = 10.0
 CG_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CgResult:
     iterations: int
     converged: bool
+    residual: np.ndarray         # rhs - system p at the returned p
 
 
 @dataclass(eq=False)
@@ -213,68 +221,66 @@ def assemble_edge_operator(
     return EdgeOperator(A, b, D, D.T.tocsr(), rho, system, preconditioner)
 
 
-def _pcg(system: csr_matrix, preconditioner: csr_matrix, rhs: np.ndarray,
-         x0: np.ndarray, reduction: float):
-    """Preconditioned CG on an SPD system from x0, true-residual verified.
+def p_update(
+    op: EdgeOperator,
+    rhs: np.ndarray,
+    p0: np.ndarray,
+    r0: np.ndarray | None = None,
+    reduction: float = CG_REDUCTION,
+) -> tuple[np.ndarray, CgResult]:
+    """Solve the p-step op.system p = rhs by block-Jacobi PCG from p0.
 
-    Stops once the unpreconditioned residual ||rhs - system x|| is at most
-    max(reduction ||r0||, 1e-12 ||rhs||), with r0 the residual at x0, or
-    after CG_MAX_ITER iterations. The floor ends a solve that starts at its
-    solution, where r0 is rounding noise.
+    In ADMM, rhs = 2 q + rho A^T D^T (m - u - D b). r0 is the residual
+    rhs - op.system p0, computed here when None. CG stops once the
+    unpreconditioned residual is at most max(reduction ||r0||,
+    1e-12 ||rhs||), or after CG_MAX_ITER iterations with converged False.
+    The floor ends a solve that starts at its solution, where r0 is
+    rounding noise. A given r0 or a recursively updated residual is
+    accepted only if the true residual, computed afresh, also meets the
+    target; the result carries the true residual at the returned p, also
+    at the cap, from which the next step's r0 follows.
     """
-    x = x0.copy()
-    r = rhs - system @ x
+    system = op.system
+    x = p0.copy()
+    verified = r0 is None
+    r = rhs - system @ x if verified else r0.copy()
     rnorm = float(np.linalg.norm(r))
     target = max(reduction * rnorm, 1e-12 * float(np.linalg.norm(rhs)))
-    if rnorm <= target:
-        return x, CgResult(0, True)
-    p = preconditioner @ r
-    rz = float(r @ p)
     iterations = 0
-    for _ in range(CG_MAX_ITER):
+    p = None
+    while True:
+        if rnorm <= target and not verified:
+            # Drift check: accept only if the true residual agrees.
+            r = rhs - system @ x
+            rnorm, verified = float(np.linalg.norm(r)), True
+        if rnorm <= target:
+            return x, CgResult(iterations, True, r)
+        if iterations == CG_MAX_ITER:
+            return x, CgResult(iterations, False, r if verified else rhs - system @ x)
+        z = op.preconditioner @ r
+        rz_new = float(r @ z)
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         ap = system @ p
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
+        rnorm, verified = float(np.linalg.norm(r)), False
         iterations += 1
-        if np.linalg.norm(r) <= target:
-            # Recursion drift check: accept only if the true residual agrees.
-            r = rhs - system @ x
-            if np.linalg.norm(r) <= target:
-                return x, CgResult(iterations, True)
-        z = preconditioner @ r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, CgResult(iterations, False)
-
-
-def p_update(
-    q: np.ndarray,
-    op: EdgeOperator,
-    m: np.ndarray,
-    u: np.ndarray,
-    reduction: float = CG_REDUCTION,
-    p0: np.ndarray | None = None,
-) -> tuple[np.ndarray, CgResult]:
-    """Solve op.system p = 2 q + rho A^T D^T (m - u - D b) by block-Jacobi PCG.
-
-    CG starts at p0 (default q) and cuts the residual there by the factor
-    reduction (see _pcg). A step that stops at CG_MAX_ITER returns its best
-    iterate with converged False.
-    """
-    rhs = 2.0 * q + op.rho * op.adjoint(m - u - (op.D @ op.b).ravel())
-    x0 = q if p0 is None else p0
-    return _pcg(op.system, op.preconditioner, rhs, x0, reduction)
 
 
 def soft_threshold(m, tau):
-    """Componentwise soft threshold: shrink toward zero by tau, clip at zero."""
+    """Componentwise soft threshold: shrink toward zero by tau, clip at zero.
+
+    m - clip(m, -tau, tau) equals sign(m) max(|m| - tau, 0) everywhere,
+    NaN and infinities included, up to the sign of a zero result; the clip
+    is spelled out, which is faster than np.clip.
+    """
     m = np.asarray(m, dtype=np.float64)
     tau_arr = np.asarray(tau, dtype=np.float64)
     if np.any(tau_arr < 0):
         raise ValueError("threshold must be >= 0")
-    out = np.sign(m) * np.maximum(np.abs(m) - tau_arr, 0.0)
+    out = m - np.minimum(np.maximum(m, -tau_arr), tau_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -310,6 +316,10 @@ def admm_denoise_partite(
     p = q.copy()
     m = op.differences(p)
     u = np.zeros_like(m)
+    # A^T D^T (m - D b), kept as a running sum of the m-steps' changes, and
+    # A^T D^T u: the p-step right-hand side is 2 q + rho (g_m - g_u)
+    g_m = op.adjoint(m - (op.D @ op.b).ravel())
+    g_u = np.zeros_like(q)
     w3 = np.repeat(class_graph.w, 3)
     tau = edge_thresholds(class_graph.w, params.gamma / params.rho)
     tiny = np.finfo(np.float64).tiny
@@ -320,18 +330,24 @@ def admm_denoise_partite(
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
         cut = CG_REDUCTION_NEAR_TOL if iteration > 1 and residual < near_tol else CG_REDUCTION
-        p, info = p_update(q, op, m, u, reduction=cut, p0=p)
+        rhs = 2.0 * q + op.rho * (g_m - g_u)
+        # the previous step's true residual, moved to the new right-hand side
+        r0 = None if iteration == 1 else info.residual + (rhs - rhs_prev)
+        p, info = p_update(op, rhs, p, r0, reduction=cut)
+        rhs_prev = rhs
         _require_finite(p, f"{label}: non-finite p-step value at node index")
         z = op.differences(p)
         m_prev = m
         m = soft_threshold(z + u, tau)
         _require_finite(m, f"{label}: non-finite m-step value at edge index")
         u = u + (z - m)
+        g_step = op.adjoint(m - m_prev)
+        g_m += g_step
+        g_u = op.adjoint(u)
 
         residual = float(np.linalg.norm(z - m)) / max(float(np.linalg.norm(m)), 1.0)
         # scaled dual residual (Boyd et al. 2011, section 3.3.1); recorded only
-        dual = float(np.linalg.norm(op.adjoint(m - m_prev))) / max(
-            float(np.linalg.norm(op.adjoint(u))), tiny)
+        dual = float(np.linalg.norm(g_step)) / max(float(np.linalg.norm(g_u)), tiny)
         gtv = float(w3 @ np.abs(z))
         objective = float(np.sum((q - p) ** 2)) + params.gamma * gtv
         if not np.isfinite(objective):

@@ -187,10 +187,10 @@ def test_position_update_agrees_with_dense_solve_and_system_is_spd(verdict):
         rng = np.random.default_rng(seed + 500)
         m = rng.normal(size=v.size)
         u = rng.normal(size=v.size)
-        p, info = p_update(q, op, m, u, reduction=1e-12)
-        all_converged &= info.converged
         A = 2.0 * np.eye(Bd.shape[1]) + rho * Bd.T @ Bd
         rhs = 2.0 * q + rho * Bd.T @ (m - u - v)
+        p, info = p_update(op, rhs, q, reduction=1e-12)
+        all_converged &= info.converged
         direct = np.linalg.solve(A, rhs)
         worst_rel = max(worst_rel, float(np.linalg.norm(p - direct) / np.linalg.norm(direct)))
         for x in rng.normal(size=(10, Bd.shape[1])):

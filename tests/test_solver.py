@@ -111,6 +111,26 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.5)
 
+    def test_equals_the_sign_times_shrunk_magnitude_formula(self):
+        # m - clip(m, -tau, tau) against sign(m) max(|m| - tau, 0); zeros may
+        # differ in sign only, which assert_array_equal does not see
+        def reference(m, tau):
+            return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            m = rng.normal(scale=rng.uniform(1e-3, 1e3), size=200)
+            tau = rng.uniform(0.0, 2.0, size=200) * np.abs(m).mean()
+            np.testing.assert_array_equal(soft_threshold(m, tau), reference(m, tau))
+            np.testing.assert_array_equal(soft_threshold(m, 0.0), reference(m, 0.0))
+        edges = np.array([0.0, -0.0, 1.5, -1.5, 1.5000000000000002, -1.4999999999999998,
+                          np.nan, np.inf, -np.inf, 1e308, -5e-324])
+        for tau in (0.0, 1.5, 5e-324, 1e308, np.inf, np.nan):
+            with np.errstate(invalid="ignore"):
+                np.testing.assert_array_equal(soft_threshold(edges, tau),
+                                              reference(edges, tau))
+        assert soft_threshold(1.5, 1.5) == 0.0 and soft_threshold(-1.5, 1.5) == 0.0
+
     def test_prox_property(self):
         # soft(x, tau) minimizes 0.5 (y - x)^2 + tau |y|
         rng = np.random.default_rng(0)
@@ -189,9 +209,9 @@ class TestPUpdate:
             m = rng.normal(size=v.size)
             u = rng.normal(size=v.size)
             rho = 5.0
-            p, info = p_update(q, op, m, u, reduction=1e-12)
             A = 2.0 * np.eye(Bd.shape[1]) + rho * Bd.T @ Bd
             rhs = 2.0 * q + rho * Bd.T @ (m - u - v)
+            p, info = p_update(op, rhs, q, reduction=1e-12)
             direct = np.linalg.solve(A, rhs)
             assert info.converged
             rel = np.linalg.norm(p - direct) / np.linalg.norm(direct)
@@ -236,9 +256,9 @@ class TestPUpdate:
         u = rng.normal(size=v.size)
         # the 300x gain makes the residual at q about 300x ||rhs||, so
         # matching the dense solve to 1e-8 takes a 1e-12 reduction of it
-        p, info = p_update(q, op, m, u, reduction=1e-12)
-        direct = np.linalg.solve(2.0 * np.eye(3 * n) + 5.0 * Bd.T @ Bd,
-                                 2.0 * q + 5.0 * Bd.T @ (m - u - v))
+        rhs = 2.0 * q + 5.0 * Bd.T @ (m - u - v)
+        p, info = p_update(op, rhs, q, reduction=1e-12)
+        direct = np.linalg.solve(2.0 * np.eye(3 * n) + 5.0 * Bd.T @ Bd, rhs)
         assert info.converged and info.iterations <= 40
         assert np.linalg.norm(p - direct) / np.linalg.norm(direct) < 1e-8
 
@@ -247,7 +267,9 @@ class TestPUpdate:
         # warning line), not by a warning per p-step
         graph, op, q = random_instance(10, 9)
         monkeypatch.setattr(solver, "CG_MAX_ITER", 1)
-        p, info = p_update(q, op, np.zeros(27), np.zeros(27), reduction=1e-14)
+        # the right-hand side at m = u = 0
+        rhs = 2.0 * q - 5.0 * op.adjoint(op.differences(np.zeros(30)))
+        p, info = p_update(op, rhs, q, reduction=1e-14)
         assert not info.converged and info.iterations == 1
         assert np.all(np.isfinite(p))
         diag = DiagnosticsReport()
@@ -256,13 +278,18 @@ class TestPUpdate:
         assert 0 < diag.meta["cg_steps_at_cap"] <= diag.meta["cg_iterations"] <= len(diag.rows)
 
 
-def record_admm_steps(monkeypatch, graph, A, b, q, params, collector=None):
-    """Run one ADMM solve; return its p-step outputs and (c, tau, m) m-steps."""
+def record_admm_steps(monkeypatch, graph, A, b, q, params, collector=None, p_calls=None):
+    """Run one ADMM solve; return its p-step outputs and (c, tau, m) m-steps.
+
+    p_calls, if given, receives one (args, kwargs, p, info) per p-step.
+    """
     p_steps, m_steps = [], []
 
     def p_step(*args, **kwargs):
         p, info = p_update(*args, **kwargs)
         p_steps.append(p.copy())
+        if p_calls is not None:
+            p_calls.append((args, kwargs, p.copy(), info))
         return p, info
 
     def m_step(c, tau):
@@ -344,8 +371,9 @@ class TestDualResidual:
     def test_zero_primal_residual_can_hide_a_large_dual_residual(self, seed,
                                                                  monkeypatch):
         # With exact p-steps, the primal-only stopping rule ends these solves
-        # at iteration 2 with primal residual 0.0, short of the optimum; the
-        # dual residual shows it.
+        # at iteration 2 with a primal residual of 0 up to rounding (0.0, or
+        # one ulp in one component), short of the optimum; the dual residual
+        # shows it.
         graph, _, q = random_instance(6, seed + 200)
         A, b = random_linearizations(6, seed + 201)
         params = DenoiseParams(gamma=0.05, admm_tol=1e-9)
@@ -354,8 +382,112 @@ class TestDualResidual:
             *args, **{**kwargs, "reduction": 1e-12}))
         admm_denoise_partite(q, graph, A, b, params, label="x", collector=diag)
         final = diag.rows[-1]
-        assert final[2] == 0.0
+        assert final[1] == 2 and final[2] <= np.finfo(np.float64).eps
         assert final[6] > params.admm_tol
+
+
+class TestCarriedState:
+    """The loop carries A^T D^T m and each CG start residual across p-steps."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_p_step_meets_its_target_for_the_rhs_rebuilt_from_scratch(
+            self, seed, monkeypatch):
+        # The p-step k solves 2 q + rho B'(m_{k-1} - u_{k-1} - v) from p_{k-1};
+        # its true residual against that right-hand side, rebuilt here from
+        # the recorded m- and u-steps, meets the CG target of a fresh start.
+        graph, _, q = random_instance(12, seed + 300)
+        A, b = random_linearizations(12, seed + 301)
+        B, v = dense_reference(graph, A, b)
+        rho = 5.0
+        system = 2.0 * np.eye(q.size) + rho * B.T @ B
+        params = DenoiseParams(gamma=1.0, rho=rho, admm_max_iter=200, admm_tol=1e-15)
+        calls = []
+        _, _, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params, p_calls=calls)
+        assert len(calls) >= 150
+        assert sum(info.iterations for *_, info in calls) > 200
+        p_prev, m, u = q, B @ q + v, np.zeros(v.size)
+        for (_, kwargs, p, info), (_, _, m_next) in zip(calls, m_steps):
+            rhs = 2.0 * q + rho * B.T @ (m - u - v)
+            r0 = np.linalg.norm(rhs - system @ p_prev)
+            residual = rhs - system @ p
+            target = max(kwargs["reduction"] * r0, 1e-12 * np.linalg.norm(rhs))
+            assert info.converged
+            assert np.linalg.norm(residual) <= target * (1.0 + 1e-9)
+            # the residual the step carries out is the true one, to rounding
+            np.testing.assert_allclose(info.residual, residual, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(rhs))
+            z = B @ p + v
+            p_prev, m, u = p, m_next, u + (z - m_next)
+
+    def test_two_adjoints_per_iteration_and_one_system_product_per_cg_iteration(
+            self, monkeypatch):
+        # Counts per p-step: one system product per CG iteration, plus the
+        # true residual it is accepted on. A pass's first step computes its
+        # start residual, which is that true residual when it accepts at once.
+        counts = {"adjoint": 0, "system": 0}
+
+        class CountingSystem:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __matmul__(self, x):
+                counts["system"] += 1
+                return self.matrix @ x
+
+        def counting_operator(*args):
+            op = assemble_edge_operator(*args)
+            adjoint = op.adjoint
+
+            def counting_adjoint(y):
+                counts["adjoint"] += 1
+                return adjoint(y)
+
+            op.adjoint = counting_adjoint
+            op.system = CountingSystem(op.system)
+            return op
+
+        steps = []
+
+        def counting_p_update(*args, **kwargs):
+            before = dict(counts)
+            p, info = p_update(*args, **kwargs)
+            steps.append((before, dict(counts), args[3] is None, info))
+            return p, info
+
+        monkeypatch.setattr(solver, "assemble_edge_operator", counting_operator)
+        monkeypatch.setattr(solver, "p_update", counting_p_update)
+        for seed, gamma in ((400, 1.0), (401, 0.5), (402, 2.0)):
+            graph, _, q = random_instance(15, seed)
+            A, b = random_linearizations(15, seed + 1)
+            params = DenoiseParams(gamma=gamma, admm_max_iter=60, admm_tol=1e-12)
+            start = dict(counts)
+            steps.clear()
+            admm_denoise_partite(q, graph, A, b, params)
+            # one adjoint builds the first right-hand side, two follow each
+            # iteration's m- and u-steps; none happens inside a p-step
+            assert [after["adjoint"] - before["adjoint"] for before, after, *_ in steps] \
+                == [0] * len(steps)
+            assert [before["adjoint"] for before, *_ in steps] == \
+                [start["adjoint"] + 1 + 2 * k for k in range(len(steps))]
+            assert counts["adjoint"] == start["adjoint"] + 1 + 2 * len(steps)
+            first = [fresh for _, _, fresh, _ in steps]
+            assert first == [True] + [False] * (len(steps) - 1)
+            assert steps[0][3].iterations == 0      # p-step 1 starts at its solution
+            for before, after, _, info in steps:
+                assert after["system"] - before["system"] == info.iterations + 1
+            assert counts["system"] == start["system"] + sum(
+                info.iterations + 1 for *_, info in steps)
+            assert sum(info.iterations for *_, info in steps) > len(steps)
+
+        # a fresh start that has to iterate pays its own start residual
+        graph, op, q = random_instance(15, 403)
+        op = counting_operator(graph, op.A, op.b, 5.0)
+        rhs = 2.0 * q + op.rho * op.adjoint(np.ones(3 * graph.edge_count))
+        for r0, extra in ((None, 1), (rhs - op.system.matrix @ q, 0)):
+            before = counts["system"]
+            _, info = p_update(op, rhs, q, r0)
+            assert info.converged and info.iterations > 0
+            assert counts["system"] - before == info.iterations + 1 + extra
 
 
 class TestAdmm:
@@ -394,6 +526,42 @@ class TestAdmm:
             return float(np.sum((q - p) ** 2) + gamma * (w3 @ np.abs(B @ p + v)))
 
         assert abs(obj(got) - problem.value) / abs(problem.value) < 1e-7
+
+    def test_matches_the_offline_dual_optimum(self):
+        # The same instance as the cvxpy test, against an optimum certified
+        # without cvxpy: L-BFGS-B maximizes the box dual
+        #   g(y) = y'c - 1/4 ||B'y||^2,  |y| <= gamma w,  c = B q + v,
+        # whose maximizer gives the primal p = q - 1/2 B'y. Weak duality
+        # puts the optimum f* in [g(y), f(p)].
+        from scipy.optimize import minimize
+
+        graph, op, q = random_instance(10, 15)
+        gamma = 0.5
+        params = DenoiseParams(gamma=gamma, rho=5.0, admm_tol=1e-10, admm_max_iter=6000)
+        A, b = random_linearizations(10, 16)
+        got = admm_denoise_partite(q, graph, A, b, params)
+        B, v = dense_reference(graph, A, b)
+        w3 = np.repeat(graph.w, 3)
+        c = B @ q + v
+
+        def objective(p):
+            return float(np.sum((q - p) ** 2) + gamma * (w3 @ np.abs(B @ p + v)))
+
+        def negative_dual(y):
+            By = B.T @ y
+            return -(y @ c - 0.25 * By @ By), -(c - 0.5 * B @ By)
+
+        box = gamma * w3
+        result = minimize(negative_dual, np.zeros(c.size), jac=True, method="L-BFGS-B",
+                          bounds=list(zip(-box, box)),
+                          options=dict(maxiter=10000, ftol=1e-16, gtol=1e-14))
+        y = result.x
+        lower = -negative_dual(y)[0]
+        upper = objective(q - 0.5 * B.T @ y)
+        gap = upper - lower
+        assert gap >= 0.0
+        assert gap <= 1e-9 * abs(lower)
+        assert abs(objective(got) - lower) / abs(lower) < 1e-7
 
     def test_residual_drops_below_initial(self):
         graph, op, q = random_instance(12, 17)
