@@ -27,11 +27,11 @@ primal residual; the scaled dual residual ||A^T D^T (m_k - m_{k-1})|| /
 ||A^T D^T u_k|| is recorded in the diagnostics only.
 
 An iteration makes two adjoint products, those of the dual residual: the
-first updates a running A^T D^T (m - D b), started once per pass, so the
-next right-hand side needs no adjoint of its own. CG starts from the
-previous step's true residual moved to the new right-hand side, so only a
-pass's first step computes its start residual; every accepted step is
-still verified against a true residual (see p_update).
+first updates a running A^T D^T m, which with A^T D^T D b, formed once per
+pass, gives the next right-hand side without an adjoint of its own. CG
+starts from the previous step's true residual moved to the new right-hand
+side, so only a pass's first step computes its start residual; every
+accepted step is still verified against a true residual (see p_update).
 
 Red and blue passes alternate; each pass re-estimates support pairs from
 the other class's current positions, and linearizations and the class's
@@ -235,28 +235,27 @@ def p_update(
     unpreconditioned residual is at most max(reduction ||r0||,
     1e-12 ||rhs||), or after CG_MAX_ITER iterations with converged False.
     The floor ends a solve that starts at its solution, where r0 is
-    rounding noise. A given r0 or a recursively updated residual is
-    accepted only if the true residual, computed afresh, also meets the
-    target; the result carries the true residual at the returned p, also
-    at the cap, from which the next step's r0 follows.
+    rounding noise. A residual that meets the target, r0 included, is
+    accepted only if the true residual, computed afresh, also meets it;
+    the result carries the true residual at the returned p, also at the
+    cap, from which the next step's r0 follows.
     """
     system = op.system
     x = p0.copy()
-    verified = r0 is None
-    r = rhs - system @ x if verified else r0.copy()
+    r = rhs - system @ x if r0 is None else r0.copy()
     rnorm = float(np.linalg.norm(r))
     target = max(reduction * rnorm, 1e-12 * float(np.linalg.norm(rhs)))
     iterations = 0
     p = None
     while True:
-        if rnorm <= target and not verified:
+        if rnorm <= target:
             # Drift check: accept only if the true residual agrees.
             r = rhs - system @ x
-            rnorm, verified = float(np.linalg.norm(r)), True
-        if rnorm <= target:
-            return x, CgResult(iterations, True, r)
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= target:
+                return x, CgResult(iterations, True, r)
         if iterations == CG_MAX_ITER:
-            return x, CgResult(iterations, False, r if verified else rhs - system @ x)
+            return x, CgResult(iterations, False, rhs - system @ x)
         z = op.preconditioner @ r
         rz_new = float(r @ z)
         p = z if p is None else z + (rz_new / rz) * p
@@ -265,7 +264,7 @@ def p_update(
         alpha = rz / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
-        rnorm, verified = float(np.linalg.norm(r)), False
+        rnorm = float(np.linalg.norm(r))
         iterations += 1
 
 
@@ -316,10 +315,12 @@ def admm_denoise_partite(
     p = q.copy()
     m = op.differences(p)
     u = np.zeros_like(m)
-    # A^T D^T (m - D b), kept as a running sum of the m-steps' changes, and
-    # A^T D^T u: the p-step right-hand side is 2 q + rho (g_m - g_u)
-    g_m = op.adjoint(m - (op.D @ op.b).ravel())
+    # A^T D^T m, kept as a running sum of the m-steps' changes, A^T D^T u and
+    # the constant A^T D^T D b: the p-step right-hand side is
+    # 2 q + rho (g_m - (g_u + g_b))
+    g_m = op.adjoint(m)
     g_u = np.zeros_like(q)
+    g_b = op.adjoint((op.D @ op.b).ravel())
     w3 = np.repeat(class_graph.w, 3)
     tau = edge_thresholds(class_graph.w, params.gamma / params.rho)
     tiny = np.finfo(np.float64).tiny
@@ -330,7 +331,7 @@ def admm_denoise_partite(
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
         cut = CG_REDUCTION_NEAR_TOL if iteration > 1 and residual < near_tol else CG_REDUCTION
-        rhs = 2.0 * q + op.rho * (g_m - g_u)
+        rhs = 2.0 * q + op.rho * (g_m - (g_u + g_b))
         # the previous step's true residual, moved to the new right-hand side
         r0 = None if iteration == 1 else info.residual + (rhs - rhs_prev)
         p, info = p_update(op, rhs, p, r0, reduction=cut)
