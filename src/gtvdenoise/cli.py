@@ -3,9 +3,11 @@
 Subcommands: noise, denoise, eval, inspect, bench.
 
 Configuration precedence is flags > config file > built-in defaults. Config
-files are flat "key = value" lines with '#' comments. Every run that produces
-an output file also writes an effective-config echo next to it; re-running
-with that echo as the config file reproduces the output bit-exactly.
+files are flat "key = value" lines with '#' comments. Solver parameters are
+flags of denoise, inspect and bench; noise reads only sigma and seed, and
+echoes other keys unchanged. Every run that produces an output file also
+writes an effective-config echo next to it; re-running with that echo as the
+config file reproduces the output bit-exactly.
 
 Exit codes:
   0  success
@@ -111,18 +113,22 @@ def build_params(
     return params, extra
 
 
-def effective_config_text(params: DenoiseParams, extra: dict) -> str:
+def effective_config_text(values: dict) -> str:
     lines = ["# effective configuration (rerun with --config <this file>)"]
-    for key, value in params.as_dict().items():
-        lines.append(f"{key} = {value}")
-    for key, value in extra.items():
-        lines.append(f"{key} = {value}")
+    lines += [f"{key} = {value}" for key, value in values.items()]
     return "\n".join(lines) + "\n"
 
 
-def _write_echo(path: Path, params: DenoiseParams, extra: dict) -> None:
-    path.write_text(effective_config_text(params, extra), encoding="utf-8")
+def _write_echo(path: Path, values: dict) -> None:
+    path.write_text(effective_config_text(values), encoding="utf-8")
     log.info("effective config written to %s", path)
+
+
+def _noise_spec(sigma: float, seed: int) -> NoiseSpec:
+    try:
+        return NoiseSpec(sigma=sigma, seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +136,20 @@ def _write_echo(path: Path, params: DenoiseParams, extra: dict) -> None:
 
 
 def cmd_noise(args: argparse.Namespace) -> int:
-    params, extra = build_params(args.config, args)
+    extra = parse_config_file(args.config) if args.config else {}
     if args.sigma is None and "sigma" not in extra:
         raise UsageError("noise requires --sigma (or 'sigma' in the config file)")
     sigma = args.sigma if args.sigma is not None else _coerce("sigma", extra["sigma"], float)
     seed = args.seed if args.seed is not None else _coerce("seed", extra.get("seed", "0"), int)
+    spec = _noise_spec(sigma, seed)
     cloud = load_cloud(args.input, args.input_format)
-    spec = NoiseSpec(sigma=sigma, seed=seed)
     noisy = add_gaussian_noise(cloud, spec)
     save_cloud(noisy, args.output, args.output_format)
     delta = noisy.positions - cloud.positions
     std = delta.std(axis=0, ddof=0)
     print(f"noise std per axis: {std[0]:.6g} {std[1]:.6g} {std[2]:.6g}")
-    extra_echo = dict(extra)
-    extra_echo.update({"sigma": repr(sigma), "seed": str(seed)})
-    _write_echo(Path(args.output + ".config"), params, extra_echo)
+    _write_echo(Path(args.output + ".config"),
+                {**extra, "sigma": repr(sigma), "seed": str(seed)})
     return EXIT_OK
 
 
@@ -158,7 +163,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     save_cloud(result, args.output, args.output_format)
     diag_path = args.diagnostics or (args.output + ".diag")
     diagnostics.save(diag_path)
-    _write_echo(Path(args.output + ".config"), params, extra)
+    _write_echo(Path(args.output + ".config"), {**params.as_dict(), **extra})
     if "windows" in diagnostics.meta:
         log.info("solved in %d windows (%d over window_budget), %.2f solves per point",
                  diagnostics.meta["windows"], diagnostics.meta["windows_oversized"],
@@ -201,15 +206,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     params, _ = build_params(args.config, args)
     cloud = load_cloud(args.input, args.input_format)
-    if params.start_node >= cloud.n:
-        raise ConfigError(f"start_node {params.start_node} out of range for {cloud.n} points")
     graph = build_knn_graph(cloud, min(params.k, cloud.n - 1), params.sigma_p)
     if args.what == "graph":
         lines = edge_list_lines(graph)
     else:
-        part = approximate_bipartite(
-            graph, params.delta, params.start_node, params.view_hops
-        )
+        part = approximate_bipartite(graph, params.delta)
         if args.what == "bipartition":
             lines = bipartition_lines(part)
         else:  # normals
@@ -231,16 +232,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_one(model_path: Path, sigma: float, seed: int, params: DenoiseParams,
+def _bench_one(model_path: Path, spec: NoiseSpec, params: DenoiseParams,
                out_dir: Path) -> dict:
-    """Noise + denoise + evaluate one model at one sigma. Returns a result row."""
+    """Noise + denoise + evaluate one model at one noise level. Returns a result row."""
     clean = load_cloud(str(model_path))
-    noisy = add_gaussian_noise(clean, NoiseSpec(sigma=sigma, seed=seed))
+    noisy = add_gaussian_noise(clean, spec)
     t0 = time.perf_counter()
     denoised, diagnostics = denoise(noisy, params)
     runtime = time.perf_counter() - t0
     stem = model_path.stem
-    tag = f"{stem}_s{sigma:g}"
+    tag = f"{stem}_s{spec.sigma:g}"
     save_cloud(noisy, str(out_dir / f"{tag}_noisy.xyz"))
     save_cloud(denoised, str(out_dir / f"{tag}_denoised.xyz"))
     diagnostics.save(str(out_dir / f"{tag}.diag"))
@@ -248,8 +249,8 @@ def _bench_one(model_path: Path, sigma: float, seed: int, params: DenoiseParams,
     denoised_report = evaluate(clean, denoised, k=params.k)
     return {
         "model": stem,
-        "sigma": sigma,
-        "seed": seed,
+        "sigma": spec.sigma,
+        "seed": spec.seed,
         "c2c_noisy": noisy_report.c2c_mean_dist.symmetric,
         "c2c_denoised": denoised_report.c2c_mean_dist.symmetric,
         "c2p_noisy": noisy_report.c2p_mean_sq.symmetric,
@@ -267,31 +268,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ) if model_dir.is_dir() else []
     if not models:
         raise UsageError(f"no .xyz or .ply models found in {args.model_dir}")
-    sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
-    if not sigmas:
+    specs = [_noise_spec(_coerce("sigmas", s, float), args.seed)
+             for s in args.sigmas.split(",") if s.strip()]
+    if not specs:
         raise UsageError("--sigmas must list at least one value")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     gamma_given = args.gamma is not None or (args.config and
                   "gamma" in parse_config_file(args.config))
-    jobs = []
+    rows, failures = [], []
     for model in models:
-        for sigma in sigmas:
+        for spec in specs:
             run_params = params
-            if not gamma_given and sigma >= 0.3:
+            if not gamma_given and spec.sigma >= 0.3:
                 run_params = DenoiseParams(**{**params.as_dict(), "gamma": 0.1})
                 log.info("auto-selected gamma=0.1 for %s at sigma=%g",
-                         model.name, sigma)
-            jobs.append((model, sigma, run_params))
-
-    rows, failures = [], []
-    for model, sigma, run_params in jobs:
-        try:
-            rows.append(_bench_one(model, sigma, args.seed, run_params, out_dir))
-        except Exception as exc:
-            log.error("model %s sigma %g failed: %s", model.name, sigma, exc)
-            failures.append((model.name, sigma))
+                         model.name, spec.sigma)
+            try:
+                rows.append(_bench_one(model, spec, run_params, out_dir))
+            except Exception as exc:
+                log.error("model %s sigma %g failed: %s", model.name, spec.sigma, exc)
+                failures.append((model.name, spec.sigma))
 
     rows.sort(key=lambda r: (r["model"], r["sigma"]))
     header = (f"{'model':<20} {'sigma':>6} {'c2c noisy':>12} {'c2c denoised':>13} "
@@ -311,8 +309,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      f"{r['c2c_noisy']:.9e},{r['c2c_denoised']:.9e},"
                      f"{r['c2p_noisy']:.9e},{r['c2p_denoised']:.9e}\n")
     log.info("benchmark CSV written to %s", csv_path)
-    _write_echo(out_dir / "bench.config", params,
-                {**extra, "sigmas": args.sigmas, "seed": str(args.seed)})
+    _write_echo(out_dir / "bench.config",
+                {**params.as_dict(), **extra, "sigmas": args.sigmas, "seed": str(args.seed)})
     return EXIT_BENCH_PARTIAL if failures else EXIT_OK
 
 
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--input-format", choices=("xyz", "ply"), default=None)
     p.add_argument("--output-format", choices=("xyz", "ply"), default=None)
-    _add_param_flags(p)
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("denoise", parents=[common], help="denoise a cloud")

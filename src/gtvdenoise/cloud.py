@@ -49,8 +49,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0 and self.seed >= 0):
+            raise ValueError("noise needs a finite sigma >= 0 and a seed >= 0, "
+                             f"got sigma {self.sigma}, seed {self.seed}")
 
 
 def add_gaussian_noise(cloud: PointCloud, spec: NoiseSpec) -> PointCloud:

@@ -70,10 +70,19 @@ def _positions(cloud) -> np.ndarray:
     return np.asarray(getattr(cloud, "positions", cloud), dtype=np.float64)
 
 
-def _nn_distances(a: np.ndarray, b_index: SpatialIndex) -> tuple[np.ndarray, np.ndarray]:
-    idx = b_index.nearest(a)
-    dist = np.linalg.norm(a - b_index.points[idx], axis=1)
-    return dist, idx
+def _matches(ground, test) -> list[tuple[np.ndarray, SpatialIndex, np.ndarray, np.ndarray]]:
+    """(source, target index, nearest distances, nearest indices), ground->test first."""
+    a, b = _positions(ground), _positions(test)
+    matches = []
+    for src, dst in ((a, SpatialIndex(b)), (b, SpatialIndex(a))):
+        idx = dst.nearest(src)
+        matches.append((src, dst, np.linalg.norm(src - dst.points[idx], axis=1), idx))
+    return matches
+
+
+def _c2c(matches, squared: bool) -> DirectedMetric:
+    return DirectedMetric(*(float(np.mean(dist**2 if squared else dist))
+                            for _, _, dist, _ in matches))
 
 
 def c2c(ground, test, squared: bool = False) -> DirectedMetric:
@@ -82,26 +91,21 @@ def c2c(ground, test, squared: bool = False) -> DirectedMetric:
     Identical clouds give exactly zero. Each direction averages over the
     source cloud; 'symmetric' averages the two directions.
     """
-    a = _positions(ground)
-    b = _positions(test)
-    da, _ = _nn_distances(a, SpatialIndex(b))
-    db, _ = _nn_distances(b, SpatialIndex(a))
-    if squared:
-        return DirectedMetric(float(np.mean(da**2)), float(np.mean(db**2)))
-    return DirectedMetric(float(np.mean(da)), float(np.mean(db)))
+    return _c2c(_matches(ground, test), squared)
 
 
-def _plane_normals(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point unit normal from the LS plane of the point + k nearest neighbors.
 
     Returns (normals, degenerate mask); degenerate = all neighborhood
     points coincide, leaving no plane direction.
     """
+    points = index.points
     n = points.shape[0]
     k_eff = min(k, n - 1)
     if k_eff < 1:
         return np.zeros((n, 3)), np.ones(n, dtype=bool)
-    nbr = SpatialIndex(points).query_knn(points, k_eff, exclude_self=True)
+    nbr = index.query_knn(points, k_eff, exclude_self=True)
     hood = np.concatenate([points[:, None, :], points[nbr]], axis=1)  # (n, k+1, 3)
     centered = hood - hood.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
@@ -111,21 +115,12 @@ def _plane_normals(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return normals, degenerate
 
 
-def c2p(ground, test, k: int = 8) -> tuple[DirectedMetric, int]:
-    """Mean squared point-to-tangent-plane distance, both directions.
-
-    Degenerate plane fits fall back to the squared point-to-point
-    distance; their count is returned alongside the metric.
-    """
-    a = _positions(ground)
-    b = _positions(test)
+def _c2p(matches, k: int) -> tuple[DirectedMetric, int]:
     degenerate_total = 0
     means = []
-    for src, dst in ((a, b), (b, a)):
-        index = SpatialIndex(dst)
-        dist, idx = _nn_distances(src, index)
+    for src, dst, dist, idx in matches:
         normals, degenerate = _plane_normals(dst, k)
-        offset = src - dst[idx]
+        offset = src - dst.points[idx]
         d_plane = np.abs(np.einsum("ni,ni->n", normals[idx], offset))
         bad = degenerate[idx]
         d_plane = np.where(bad, dist, d_plane)
@@ -137,16 +132,22 @@ def c2p(ground, test, k: int = 8) -> tuple[DirectedMetric, int]:
     return DirectedMetric(means[0], means[1]), degenerate_total
 
 
+def c2p(ground, test, k: int = 8) -> tuple[DirectedMetric, int]:
+    """Mean squared point-to-tangent-plane distance, both directions.
+
+    Degenerate plane fits fall back to the squared point-to-point
+    distance; their count is returned alongside the metric.
+    """
+    return _c2p(_matches(ground, test), k)
+
+
 def evaluate(ground, test, k: int = 8) -> MetricReport:
-    """Full metric set between a reference cloud and a test cloud."""
-    a = _positions(ground)
-    b = _positions(test)
-    da, _ = _nn_distances(a, SpatialIndex(b))
-    db, _ = _nn_distances(b, SpatialIndex(a))
-    c2p_metric, degenerate = c2p(a, b, k)
+    """Full metric set between a reference and a test cloud; one match per direction."""
+    matches = _matches(ground, test)
+    c2p_metric, degenerate = _c2p(matches, k)
     return MetricReport(
-        c2c_mean_dist=DirectedMetric(float(np.mean(da)), float(np.mean(db))),
-        c2c_mean_sq=DirectedMetric(float(np.mean(da**2)), float(np.mean(db**2))),
+        c2c_mean_dist=_c2c(matches, squared=False),
+        c2c_mean_sq=_c2c(matches, squared=True),
         c2p_mean_sq=c2p_metric,
         degenerate_planes=degenerate,
     )

@@ -50,8 +50,7 @@ from scipy.sparse import bsr_matrix, csr_matrix
 
 from .bipartite import BLUE, RED, approximate_bipartite
 from .cloud import PointCloud
-from .errors import (AdmmDivergenceError, ConfigError, DegenerateCloudError,
-                     MissingLinearizationError)
+from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
 from .graph import WeightedGraph, build_knn_graph
 from .normals import DEFAULT_COLLINEARITY_TOL, estimate_normal_field
 
@@ -73,22 +72,22 @@ class DenoiseParams:
     admm_max_iter: int = 100
     outer_max_iter: int = 2      # red/blue passes; 2 beat 10 at these defaults
     collinearity_tol: float = DEFAULT_COLLINEARITY_TOL
-    start_node: int = 0
-    view_hops: int = 2
     window_budget: int = 20000   # clouds above this size are solved in windows
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("gamma", "collinearity_tol", "start_node"):
+            if isinstance(f.default, int) and type(value) is not int:  # bool too
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        for name in ("gamma", "collinearity_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in ("rho", "sigma_p", "delta", "admm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("k", "admm_max_iter", "outer_max_iter", "view_hops",
-                     "window_budget"):
+        for name in ("k", "admm_max_iter", "outer_max_iter", "window_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -428,8 +427,8 @@ def denoise(
     early after a pass that moved no point. Nodes without a valid
     support pair stay at their observed positions. Clouds larger than
     window_budget run their passes in overlapping spatial windows, each on
-    the cloud's graph and bipartition restricted to its points. A
-    start_node that is not a point index of the cloud raises ConfigError.
+    the cloud's graph and bipartition restricted to its points. The
+    bipartition starts at point 0 with approximate_bipartite's 2-hop view.
 
     The solve runs on centroid-centred coordinates, because the p-step's
     right-hand side grows with the distance from the origin, and with it
@@ -449,8 +448,6 @@ def denoise(
         params = DenoiseParams()
     if cloud.n < 4:
         raise DegenerateCloudError(f"denoising needs at least 4 points, got {cloud.n}")
-    if params.start_node >= cloud.n:
-        raise ConfigError(f"start_node {params.start_node} out of range for {cloud.n} points")
     diag = DiagnosticsReport()
     diag.meta["points"] = cloud.n
     diag.meta.update({f"param_{k}": v for k, v in params.as_dict().items()})
@@ -461,9 +458,7 @@ def denoise(
     with _stage(diag, "seconds_graph"):
         graph = build_knn_graph(centred, min(params.k, cloud.n - 1), params.sigma_p)
     with _stage(diag, "seconds_bipartition"):
-        bp = approximate_bipartite(
-            graph, params.delta, params.start_node, view_hops=params.view_hops
-        )
+        bp = approximate_bipartite(graph, params.delta)
     diag.meta.update(bipartition_levels=bp.levels, red_nodes=int(bp.red.size),
                      blue_nodes=int(bp.blue.size))
 
@@ -525,6 +520,11 @@ def _denoise_core(
     return p_cur
 
 
+# A window's halo holds its core's support-pair candidates (one hop), class-graph
+# neighbours (mostly two hops, across the bipartition) and their support pairs.
+HALO_HOPS = 3
+
+
 def _window_layout(
     q_obs: np.ndarray, adjacency: csr_matrix, params: DenoiseParams
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -532,13 +532,11 @@ def _window_layout(
 
     adjacency is the cloud's k-NN graph. Starting from the whole cloud, a
     core is split at the median of its bounding box's longest axis while
-    its window, the core plus every point within view_hops + 1 hops of it
-    in that graph, exceeds window_budget. A cloud within the budget is one
-    window. The halo holds each core point's support-pair candidates (one
-    hop) and the same-class neighbours of its class k-NN graph, most of
-    which lie two hops away across the bipartition. A core whose halo
-    alone reaches the budget is not split further, since its children's
-    windows would be mostly halo; such windows are solved oversized.
+    its window, the core plus every point within HALO_HOPS hops of it in
+    that graph, exceeds window_budget. A cloud within the budget is one
+    window. A core whose halo alone reaches the budget is not split
+    further, since its children's windows would be mostly halo; such
+    windows are solved oversized.
     """
     n = q_obs.shape[0]
     windows: list[tuple[np.ndarray, np.ndarray]] = []
@@ -547,7 +545,7 @@ def _window_layout(
         core = stack.pop()
         reach = np.zeros(n, dtype=bool)
         reach[core] = True
-        for _ in range(params.view_hops + 1):
+        for _ in range(HALO_HOPS):
             reach |= (adjacency @ reach).astype(bool)
         members = np.flatnonzero(reach)
         if (members.size > params.window_budget and core.size > 1

@@ -128,7 +128,7 @@ def test_flat_cloud_flattens_and_normals_realign(verdict, planar_run):
     rms = lambda cloud: float(np.sqrt(np.mean(cloud.positions[:, 2] ** 2)))
     ratio = rms(r.denoised) / rms(r.noisy)
     graph = build_knn_graph(r.denoised, k=r.params.k, sigma_p=r.params.sigma_p)
-    assign = approximate_bipartite(graph, r.params.delta, r.params.start_node).assignment
+    assign = approximate_bipartite(graph, r.params.delta).assignment
     # measurement uses a stricter conditioning cutoff than the solver:
     # near-sliver support triples the solver tolerated would turn leftover
     # jitter into wildly tilted normals and say nothing about alignment

@@ -1,7 +1,10 @@
 """Command line interface: subcommands, config precedence, exit codes."""
 
+import argparse
 import logging
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,8 +57,6 @@ class TestConfigParsing:
             parse_config_file("/nonexistent/path.cfg")
 
     def test_precedence_flag_over_file_over_default(self, tmp_path):
-        import argparse
-
         cfg = tmp_path / "c.cfg"
         cfg.write_text("gamma = 0.2\nrho = 7.0\n")
         ns = argparse.Namespace(gamma=0.3)  # flag set, rho only in file
@@ -65,35 +66,41 @@ class TestConfigParsing:
         assert params.k == 8            # default
         assert extra == {}
 
-    def test_unknown_keys_returned_as_extra(self, tmp_path):
-        import argparse
-
-        cfg = tmp_path / "c.cfg"
-        # recompute_bipartition, cg_tol, cg_max_iter and outer_tol were solver
-        # parameters; old echoes still load, and echo those keys back unchanged
-        cfg.write_text("sigma = 0.1\nseed = 3\nrecompute_bipartition = False\n"
-                       "cg_tol = 1e-8\ncg_max_iter = 500\nouter_tol = 1e-4\n")
-        params, extra = build_params(str(cfg), argparse.Namespace())
-        assert extra == {"sigma": "0.1", "seed": "3", "recompute_bipartition": "False",
-                         "cg_tol": "1e-8", "cg_max_iter": "500", "outer_tol": "1e-4"}
-        assert params == DenoiseParams()
-        echo = effective_config_text(params, extra)
-        assert "\ncg_tol = 1e-8\ncg_max_iter = 500\nouter_tol = 1e-4\n" in echo
-
-    def test_no_removed_knobs(self, capsys):
-        # CG stops on a fixed reduction of its warm-start residual, and a run
-        # does outer_max_iter red/blue passes with no outer tolerance
-        assert len(fields(DenoiseParams)) == 12
+    def test_removed_keys_load_as_inert_extras(self, tmp_path, capsys):
+        # These keys were solver parameters. None is a field or a flag any
+        # more; older echoes that set them still load, and echo them back.
+        removed = ("t", "prox_tol", "prox_max_iter", "cg_tol", "cg_max_iter", "outer_tol",
+                   "recompute_bipartition", "start_node", "view_hops")
+        solver_fields = [f.name for f in fields(DenoiseParams)]
+        assert len(solver_fields) == 10
+        helps = {}
         for command in ("noise", "denoise", "inspect", "bench"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
-            text = capsys.readouterr().out
-            assert "--outer-max-iter" in text
-            assert "--cg-" not in text and "--outer-tol" not in text
+            helps[command] = capsys.readouterr().out
+
+        def offers(text, key):
+            return re.search("--" + key.replace("_", "-") + r"(?![\w-])", text) is not None
+
+        for command, text in helps.items():
+            # the solver flags belong to the subcommands that run a solver
+            assert [offers(text, name) for name in solver_fields] == \
+                [command != "noise"] * len(solver_fields), command
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        older = readme.split("older echoes", 1)[1].split(".", 1)[0]
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("sigma = 0.1\n" + "".join(f"{key} = 3\n" for key in removed))
+        params, extra = build_params(str(cfg), argparse.Namespace())
+        assert params == DenoiseParams()
+        assert extra == {"sigma": "0.1", **dict.fromkeys(removed, "3")}
+        echo = effective_config_text({**params.as_dict(), **extra})
+        for key in removed:
+            assert key not in solver_fields
+            assert not any(offers(text, key) for text in helps.values()), key
+            assert f"`{key}`" in older, key
+            assert f"\n{key} = 3\n" in echo, key
 
     def test_invalid_value_rejected(self, tmp_path):
-        import argparse
-
         cfg = tmp_path / "c.cfg"
         cfg.write_text("gamma = banana\n")
         with pytest.raises(ConfigError):
@@ -120,6 +127,14 @@ class TestNoiseCommand:
         assert main(["-q", "noise", str(plane_file), str(out2),
                      "--config", str(tmp_path / "n1.xyz.config")]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_run_config_solver_keys_are_echoed_unread(self, plane_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = -5\nk = 3\nsigma = 0.05\n")
+        out = tmp_path / "noisy.xyz"
+        assert main(["-q", "noise", str(plane_file), str(out), "--config", str(cfg)]) == EXIT_OK
+        echo = (tmp_path / "noisy.xyz.config").read_text().splitlines()[1:]
+        assert echo == ["gamma = -5", "k = 3", "sigma = 0.05", "seed = 0"]
 
     def test_sigma_required(self, plane_file, tmp_path):
         code = main(["-q", "noise", str(plane_file), str(tmp_path / "o.xyz")])
@@ -310,8 +325,6 @@ class TestInspectCommand:
         for what in ("graph", "bipartition", "normals"):
             assert main(["-q", "inspect", str(path), what]) == EXIT_OK
             assert capsys.readouterr().out
-        assert main(["-q", "inspect", str(path), "bipartition",
-                     "--start-node", "6"]) == EXIT_USAGE
 
 
 class TestBenchCommand:
@@ -381,8 +394,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", [
         ["--rho", "nan"], ["--gamma", "nan"], ["--delta", "nan"], ["--admm-tol", "nan"],
-        ["--sigma-p", "inf"], ["--collinearity-tol", "-1"], ["--view-hops", "0"],
-        ["--start-node", "-1"], ["--start-node", "40"],
+        ["--sigma-p", "inf"], ["--collinearity-tol", "-1"],
     ], ids=" ".join)
     def test_out_of_range_parameters_usage(self, plane_file, tmp_path, caplog, flag):
         pts = load_cloud(str(plane_file)).positions[:40]
@@ -392,6 +404,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert [r.levelno for r in caplog.records] == [logging.ERROR]
         assert not (tmp_path / "o.xyz").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["noise", "--sigma", "-0.1"], ["noise", "--sigma", "0.1", "--seed", "-1"],
+        ["noise", "--sigma", "nan"], ["noise", "--sigma", "inf"],
+        ["bench", "--sigmas", "abc"], ["bench", "--sigmas", "-0.1"], ["bench", "--seed", "-1"],
+    ], ids=" ".join)
+    def test_bad_noise_usage(self, plane_file, tmp_path, caplog, args):
+        command, *flags = args
+        out = tmp_path / "out"
+        paths = ([str(plane_file), str(out)] if command == "noise"
+                 else [str(tmp_path), "--output-dir", str(out)])
+        assert main(["-q", command, *paths, *flags]) == EXIT_USAGE
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plane.xyz"]
 
     def test_bad_config_usage(self, plane_file, tmp_path):
         cfg = tmp_path / "c.cfg"

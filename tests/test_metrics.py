@@ -115,11 +115,9 @@ class TestEvaluate:
         a = rng.normal(size=(50, 3))
         b = a + rng.normal(scale=0.05, size=(50, 3))
         report = evaluate(a, b)
-        assert report.c2c_mean_dist.symmetric == pytest.approx(c2c(a, b).symmetric)
-        assert report.c2c_mean_sq.symmetric == pytest.approx(
-            c2c(a, b, squared=True).symmetric
-        )
-        assert report.c2p_mean_sq.symmetric == pytest.approx(c2p(a, b)[0].symmetric)
+        assert report.c2c_mean_dist == c2c(a, b)
+        assert report.c2c_mean_sq == c2c(a, b, squared=True)
+        assert (report.c2p_mean_sq, report.degenerate_planes) == c2p(a, b)
 
     def test_table_and_csv_layout(self):
         rng = np.random.default_rng(6)

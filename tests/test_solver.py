@@ -8,14 +8,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from gtvdenoise.bipartite import approximate_bipartite
+from gtvdenoise.bipartite import RED, approximate_bipartite
 from gtvdenoise.cloud import PointCloud, add_gaussian_noise, NoiseSpec
-from gtvdenoise.errors import ConfigError, DegenerateCloudError, MissingLinearizationError
+from gtvdenoise.errors import DegenerateCloudError, MissingLinearizationError
 from gtvdenoise.graph import SpatialIndex, WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import c2p
 from gtvdenoise.normals import affine_normals
 from gtvdenoise.synthetic import jittered_plane, rounded_box, sphere_with_spacing
 from gtvdenoise.solver import (
+    HALO_HOPS,
     DenoiseParams,
     DiagnosticsReport,
     _denoise_core,
@@ -81,9 +82,12 @@ class TestDenoiseParams:
             DenoiseParams(k=0)
         with pytest.raises(ValueError):
             DenoiseParams(admm_max_iter=0)
-        for bad in (dict(collinearity_tol=-1e-8), dict(view_hops=0), dict(start_node=-1)):
-            with pytest.raises(ValueError):
-                DenoiseParams(**bad)
+        with pytest.raises(ValueError):
+            DenoiseParams(collinearity_tol=-1e-8)
+        for name, value in (("k", 8.5), ("k", True), ("outer_max_iter", 2.5),
+                            ("admm_max_iter", 10.5), ("window_budget", 30.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                DenoiseParams(**{name: value})
         for name in ("gamma", "rho", "sigma_p", "delta", "admm_tol", "collinearity_tol"):
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -712,43 +716,38 @@ class TestDenoiseEndToEnd:
         (core, members), = _window_layout(pts, graph.adjacency, params)
         np.testing.assert_array_equal(core, np.arange(noisy.n))
         np.testing.assert_array_equal(members, np.arange(noisy.n))
-        bp = approximate_bipartite(graph, params.delta, params.start_node,
-                                   view_hops=params.view_hops)
+        bp = approximate_bipartite(graph, params.delta)
         direct = _denoise_core(pts, graph, bp.assignment, params, DiagnosticsReport(),
                                label_prefix="")
         np.testing.assert_array_equal(out.positions, noisy.positions + (direct - pts))
         assert "windows" not in diag.meta
         assert diag.final_rows()[0][0] == "outer1:red"
 
-    def test_start_node_beyond_the_cloud_is_a_config_error(self):
-        _, noisy = self._noisy_plane(n_side=5)
-        with pytest.raises(ConfigError, match="start_node 25 out of range"):
-            denoise(noisy, DenoiseParams(start_node=noisy.n))
-
     @pytest.mark.parametrize("window_budget", [20000, 500], ids=["direct", "windowed"])
     def test_one_graph_and_one_bipartition_per_cloud(self, monkeypatch, window_budget):
         # windows only split the passes: the k-NN graph and the bipartition
-        # are built once, on all points, from the given start_node; the class
-        # graphs are built with the normals, outside the solver module
+        # are built once, on all points, from node 0; the class graphs are
+        # built with the normals, outside the solver module
         clean = rounded_box(800, 0.7, 2.0, seed=1)
         noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=1))
-        params = DenoiseParams(window_budget=window_budget, start_node=450,
-                               outer_max_iter=1, admm_max_iter=5)
+        params = DenoiseParams(window_budget=window_budget, outer_max_iter=1,
+                               admm_max_iter=5)
         graph_sizes, bipartitions = [], []
 
         def graph_spy(points, k, sigma_p):
             graph_sizes.append(len(points))
             return build_knn_graph(points, k, sigma_p)
 
-        def bipartition_spy(graph, delta, start_node, **kwargs):
-            bipartitions.append((graph.node_count, start_node))
-            return approximate_bipartite(graph, delta, start_node, **kwargs)
+        def bipartition_spy(graph, delta, **kwargs):
+            bp = approximate_bipartite(graph, delta, **kwargs)
+            bipartitions.append((graph.node_count, kwargs, bp.assignment[0]))
+            return bp
 
         monkeypatch.setattr(solver, "build_knn_graph", graph_spy)
         monkeypatch.setattr(solver, "approximate_bipartite", bipartition_spy)
         out, diag = denoise(noisy, params)
         assert np.all(np.isfinite(out.positions))
-        assert bipartitions == [(noisy.n, 450)]
+        assert bipartitions == [(noisy.n, {}, RED)]
         assert graph_sizes == [noisy.n]
         assert diag.meta["red_nodes"] + diag.meta["blue_nodes"] == noisy.n
         assert diag.meta.get("windows", 1) == (1 if window_budget > noisy.n else 4)
@@ -769,7 +768,7 @@ class TestDenoiseEndToEnd:
         adjacency = csr_matrix((graph.w, (graph.ei, graph.ej)), shape=(n, n))
         hops = shortest_path(adjacency, directed=False, unweighted=True)
         for core, members in windows:
-            near = np.flatnonzero(hops[core].min(axis=0) <= params.view_hops + 1)
+            near = np.flatnonzero(hops[core].min(axis=0) <= HALO_HOPS)
             assert np.all(np.isin(near, members))
 
     def test_tiny_budget_terminates_warns_and_covers_every_point(self):
@@ -795,8 +794,7 @@ class TestDenoiseEndToEnd:
         # still links them, so the run needs no graph of its own there
         rng = np.random.default_rng(0)
         pts = np.vstack([np.zeros((20, 3)), rng.uniform(10, 20, size=(20, 3))])
-        params = DenoiseParams(k=2, view_hops=1, window_budget=12, outer_max_iter=1,
-                               admm_max_iter=5)
+        params = DenoiseParams(k=2, window_budget=12, outer_max_iter=1, admm_max_iter=5)
         with pytest.warns(UserWarning, match="oversized windows"):
             out, diag = denoise(PointCloud(pts), params)
         assert diag.meta["windows"] > 1
