@@ -66,11 +66,22 @@ class TestConfigParsing:
         assert params.k == 8            # default
         assert extra == {}
 
-    def test_removed_keys_load_as_inert_extras(self, tmp_path, capsys):
-        # These keys were solver parameters. None is a field or a flag any
-        # more; older echoes that set them still load, and echo them back.
-        removed = ("t", "prox_tol", "prox_max_iter", "cg_tol", "cg_max_iter", "outer_tol",
-                   "recompute_bipartition", "start_node", "view_hops")
+    # These keys were solver parameters. None is a field or a flag any more;
+    # older echoes that set them still load, and echo them back.
+    REMOVED = ("t", "prox_tol", "prox_max_iter", "cg_tol", "cg_max_iter", "outer_tol",
+               "recompute_bipartition", "start_node", "view_hops")
+
+    def test_unknown_keys_returned_as_extra(self, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("sigma = 0.1\n" + "".join(f"{key} = 3\n" for key in self.REMOVED))
+        params, extra = build_params(str(cfg), argparse.Namespace())
+        assert params == DenoiseParams()
+        assert extra == {"sigma": "0.1", **dict.fromkeys(self.REMOVED, "3")}
+        echo = effective_config_text({**params.as_dict(), **extra})
+        for key in self.REMOVED:
+            assert f"\n{key} = 3\n" in echo, key
+
+    def test_no_removed_knobs(self, capsys):
         solver_fields = [f.name for f in fields(DenoiseParams)]
         assert len(solver_fields) == 10
         helps = {}
@@ -88,17 +99,10 @@ class TestConfigParsing:
                 [command != "noise"] * len(solver_fields), command
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         older = readme.split("older echoes", 1)[1].split(".", 1)[0]
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text("sigma = 0.1\n" + "".join(f"{key} = 3\n" for key in removed))
-        params, extra = build_params(str(cfg), argparse.Namespace())
-        assert params == DenoiseParams()
-        assert extra == {"sigma": "0.1", **dict.fromkeys(removed, "3")}
-        echo = effective_config_text({**params.as_dict(), **extra})
-        for key in removed:
+        for key in self.REMOVED:
             assert key not in solver_fields
             assert not any(offers(text, key) for text in helps.values()), key
             assert f"`{key}`" in older, key
-            assert f"\n{key} = 3\n" in echo, key
 
     def test_invalid_value_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
