@@ -13,7 +13,6 @@ from .cloud import (
     PointCloud,
     add_gaussian_noise,
     load_cloud,
-    rescale_unit_diagonal,
     save_cloud,
 )
 from .errors import (
@@ -83,7 +82,6 @@ __all__ = [
     "PointCloud",
     "p_update",
     "RED",
-    "rescale_unit_diagonal",
     "save_cloud",
     "soft_threshold",
     "SpatialIndex",

@@ -6,9 +6,10 @@ two classes (red / blue); intra-class edges are dropped. Each assignment
 picks the class whose resulting field stays closest to the original in
 Kullback-Leibler divergence, evaluated on a local view of the graph
 around the candidate node so the cost stays bounded: the view holds the
-node and its earlier-rank nodes within view_hops, and the view's dense
-weight matrix W scores each candidate class by the field of W with only
-its cross-class weights kept.
+node and its earlier-rank nodes within VIEW_HOPS = 2 hops, and the view's
+dense weight matrix W scores each candidate class by the field of W with
+only its cross-class weights kept. The greedy starts at node 0; both the
+seed and the view are fixed.
 
 A node's score depends only on the classes of its view, so nodes fall
 into dependency levels: level 0 when the view is the node alone, else 1
@@ -19,7 +20,7 @@ zero-padded into one stack and factored by one Cholesky call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -35,27 +36,25 @@ CLASS_NAMES = ("red", "blue")
 # Relative tolerance under which the two candidate divergences count as equal.
 TIE_RTOL = 1e-12
 
-
-@dataclass(frozen=True)
-class GreedyStep:
-    """Record of one greedy assignment: both candidate divergences and the pick."""
-
-    node: int
-    d_red: float
-    d_blue: float
-    chosen: int
-    tie: bool
-    seed: bool = False
-    forced: bool = False
+# A candidate's view: the earlier-rank nodes within this many hops of it.
+VIEW_HOPS = 2
 
 
 @dataclass(eq=False)
 class Bipartition:
-    """Node class assignment: 0 = red, 1 = blue, one entry per node."""
+    """Node class assignment: 0 = red, 1 = blue, one entry per node.
+
+    approximate_bipartite also keeps its decisions: order lists the nodes
+    in the order they were assigned, and d_red[t] / d_blue[t] are the
+    divergences of putting node order[t] in red / in blue. The seed,
+    order[0], is not scored and reads NaN in both.
+    """
 
     assignment: np.ndarray
-    trace: list[GreedyStep] | None = field(default=None, repr=False)
     levels: int = 0  # dependency levels the greedy scored, the seed's included
+    order: np.ndarray | None = None
+    d_red: np.ndarray | None = None
+    d_blue: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int8).ravel()
@@ -90,19 +89,19 @@ def _divergences(p: np.ndarray) -> np.ndarray:
     return 0.5 * (trace + logdet[0] - logdet[1:] - p.shape[-1])
 
 
-def kld(l_orig, l_bip, delta: float) -> float:
+def kld(l_orig: np.ndarray, l_bip: np.ndarray, delta: float) -> float:
     """Divergence of the field (l_bip + delta*I)^-1 from (l_orig + delta*I)^-1.
 
-    Both arguments are Laplacians (dense or scipy sparse) of graphs on the
-    same node set. Returns
+    Both arguments are dense Laplacians of graphs on the same node set.
+    Returns
         0.5 * (tr(P_b * Sigma) + logdet(P_o) - logdet(P_b) - n)
     with P_o = l_orig + delta*I, P_b = l_bip + delta*I, Sigma = P_o^-1.
     Zero iff the two fields coincide; always >= 0 up to round-off.
     """
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    a = np.asarray(l_orig.toarray() if hasattr(l_orig, "toarray") else l_orig, dtype=np.float64)
-    b = np.asarray(l_bip.toarray() if hasattr(l_bip, "toarray") else l_bip, dtype=np.float64)
+    a = np.asarray(l_orig, dtype=np.float64)
+    b = np.asarray(l_bip, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"Laplacian shapes must match and be square, got {a.shape} and {b.shape}")
     eye = delta * np.eye(a.shape[0])
@@ -118,17 +117,17 @@ def _entries(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.arange(counts.sum()) + (starts - np.cumsum(counts) + counts)[owner], owner
 
 
-def _balls(adj: csr_matrix, hops: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted CSR pattern (indices, indptr) of (I + A)^hops.
+def _balls(adj: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted CSR pattern (indices, indptr) of (I + A)^VIEW_HOPS.
 
-    Row c holds every node within hops of c. Only the pattern is returned,
-    so the product's values are freed on return.
+    Row c holds every node within VIEW_HOPS of c. Only the pattern is
+    returned, so the product's values are freed on return.
     """
     n = adj.shape[0]
     step = csr_matrix((np.ones(adj.nnz), adj.indices, adj.indptr),
                       shape=(n, n)) + identity(n, format="csr")
     reach = step
-    for _ in range(hops - 1):
+    for _ in range(VIEW_HOPS - 1):
         reach = reach @ step
         reach.data[:] = 1.0
     reach.sort_indices()
@@ -138,15 +137,13 @@ def _balls(adj: csr_matrix, hops: int) -> tuple[np.ndarray, np.ndarray]:
 class _LevelGreedy:
     """Working state of one bipartition run, with nodes relabelled by BFS rank."""
 
-    def __init__(self, adj: csr_matrix, order: np.ndarray, delta: float, view_hops: int,
-                 record_trace: bool):
+    def __init__(self, adj: csr_matrix, order: np.ndarray, delta: float):
         n = order.size
-        self.order = order
         self.delta = delta
         self.adj = adj[order][:, order]
         self.adj.sort_indices()
         self.degree = np.diff(self.adj.indptr)
-        self.ball, indptr = _balls(self.adj, view_hops)
+        self.ball, indptr = _balls(self.adj)
         self.ball_start, self.ball_count = indptr[:-1], np.diff(indptr)
         # In rank labels a node's view, its in-ball nodes of rank <= its own,
         # is a prefix of its sorted ball that ends with the node itself; the
@@ -158,7 +155,9 @@ class _LevelGreedy:
         self.done = 0
         self.levels = 0
         self.tie_next = RED  # alternation state: first tie goes to red
-        self.trace: list[GreedyStep] | None = [] if record_trace else None
+        # the decisions: rank of each assigned node, and both divergences
+        self.decided = np.empty(n, dtype=np.int64)
+        self.d = np.full((2, n), np.nan)
 
     def run_component(self, root: int) -> None:
         """Assign the component whose BFS starts at rank root, level by level."""
@@ -175,15 +174,15 @@ class _LevelGreedy:
     def assign_level(self, level: np.ndarray) -> None:
         """Assign the nodes of one level in rank order."""
         self.levels += 1
+        at = slice(self.done, self.done + level.size)
+        self.decided[at] = level
         if self.done == 0:
             # The very first node initializes the red class.
             self.assign[level] = RED
             self.done = 1
-            if self.trace is not None:
-                self.trace.append(GreedyStep(int(self.order[0]), 0.0, 0.0, RED, tie=False,
-                                             seed=True))
             return
-        d_red, d_blue = self.divergences(level)
+        self.d[:, at] = self.divergences(level)
+        d_red, d_blue = self.d[:, at]
         tie = np.abs(d_blue - d_red) <= TIE_RTOL * np.maximum(1.0, np.abs(d_red))
         g = np.where(d_blue > d_red, RED, BLUE).astype(np.int8)
         for i in np.flatnonzero(tie):
@@ -191,18 +190,10 @@ class _LevelGreedy:
             self.tie_next = BLUE if self.tie_next == RED else RED
         self.assign[level] = g
         self.done += level.size
-        forced = np.zeros(level.size, dtype=bool)
         # Keep both classes non-empty: the last node may not land a tie into
         # the only populated class.
         if self.done == self.assign.size and tie[-1] and np.all(self.assign == g[-1]):
-            g[-1] = self.assign[level[-1]] = BLUE if g[-1] == RED else RED
-            forced[-1] = True
-        if self.trace is not None:
-            self.trace.extend(
-                GreedyStep(int(self.order[c]), float(dr), float(db), int(gc), tie=bool(t),
-                           forced=bool(f))
-                for c, dr, db, gc, t, f in zip(level, d_red, d_blue, g, tie, forced)
-            )
+            self.assign[level[-1]] = BLUE if g[-1] == RED else RED
 
     def divergences(self, level: np.ndarray) -> np.ndarray:
         """(2, B) divergences of assigning each level node to red / to blue.
@@ -245,49 +236,38 @@ class _LevelGreedy:
         return _divergences(p)
 
 
-def approximate_bipartite(
-    graph: WeightedGraph,
-    delta: float = 0.01,
-    start_node: int = 0,
-    view_hops: int = 2,
-    record_trace: bool = False,
-) -> Bipartition:
+def approximate_bipartite(graph: WeightedGraph, delta: float = 0.01) -> Bipartition:
     """Greedy BFS bipartition driven by the divergence criterion.
 
-    The start node goes to red. Every later node joins red if the blue
-    candidate diverges more, blue otherwise; near-equal divergences
-    alternate, red first. Disconnected graphs are processed per component,
-    the start node's first, then the others seeded at their lowest-index
-    node. Within a component the nodes are assigned one dependency level at
-    a time, in (level, BFS rank) order; the tie alternation, the forced
-    rule and the trace follow that order, which differs from plain BFS rank
-    order only for a component with two or more ties. Deterministic for a
-    fixed input.
+    Node 0 goes to red. Every later node joins red if the blue candidate
+    diverges more, blue otherwise; near-equal divergences alternate, red
+    first. The candidates are scored on VIEW_HOPS-hop views. Disconnected
+    graphs are processed per component, in the order of their lowest-index
+    nodes, each BFS seeded there. Within a component the nodes are assigned
+    one dependency level at a time, in (level, BFS rank) order; the tie
+    alternation, the forced rule and the recorded decisions follow that
+    order, which differs from plain BFS rank order only for a component
+    with two or more ties. Deterministic for a fixed input.
     """
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if view_hops < 1:
-        raise ValueError("view_hops must be >= 1")
     n = graph.node_count
-    if not (0 <= start_node < n):
-        raise ValueError(f"start_node {start_node} out of range for {n} nodes")
-
     adj = graph.adjacency
     _, labels = connected_components(adj, directed=False)
     _, firsts = np.unique(labels, return_index=True)
-    seeds = [start_node] + sorted(int(f) for f in firsts if labels[f] != labels[start_node])
     # One BFS per component, neighbours queued in ascending index order; the
-    # concatenated orders rank every node.
+    # concatenated orders rank every node, node 0 first.
     components = [breadth_first_order(adj, s, directed=True, return_predecessors=False)
-                  for s in seeds]
+                  for s in np.sort(firsts)]
     order = np.concatenate(components)
-    state = _LevelGreedy(adj, order, delta, view_hops, record_trace)
+    state = _LevelGreedy(adj, order, delta)
     for root in np.cumsum([0] + [c.size for c in components[:-1]]):
         state.run_component(int(root))
 
     assignment = np.empty(n, dtype=np.int8)
     assignment[order] = state.assign
-    return Bipartition(assignment, trace=state.trace, levels=state.levels)
+    d_red, d_blue = state.d
+    return Bipartition(assignment, state.levels, order[state.decided], d_red, d_blue)
 
 
 def induced_bipartite_graph(graph: WeightedGraph, bp: Bipartition) -> WeightedGraph:

@@ -4,10 +4,11 @@ Subcommands: noise, denoise, eval, inspect, bench.
 
 Configuration precedence is flags > config file > built-in defaults. Config
 files are flat "key = value" lines with '#' comments. Solver parameters are
-flags of denoise, inspect and bench; noise reads only sigma and seed, and
-echoes other keys unchanged. Every run that produces an output file also
-writes an effective-config echo next to it; re-running with that echo as the
-config file reproduces the output bit-exactly.
+flags of denoise, inspect and bench; noise also reads sigma and seed, bench
+sigmas and seed, and both echo other keys unchanged. eval takes no config.
+Every run that produces an output file also writes an effective-config echo
+next to it; re-running with that echo as the config file reproduces the
+output bit-exactly.
 
 Exit codes:
   0  success
@@ -28,7 +29,7 @@ import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .bipartite import BLUE, RED, approximate_bipartite, bipartition_lines
+from .bipartite import BLUE, RED, bipartition_lines
 from .cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
 from .errors import (
     AdmmDivergenceError,
@@ -38,10 +39,10 @@ from .errors import (
     GtvDenoiseError,
     UsageError,
 )
-from .graph import build_knn_graph, edge_list_lines
+from .graph import edge_list_lines
 from .metrics import CSV_HEADER, evaluate
 from .normals import estimate_normal_field, normal_field_lines
-from .solver import STAGE_KEYS, DenoiseParams, denoise
+from .solver import STAGE_KEYS, DenoiseParams, DiagnosticsReport, denoise, prepare_cloud
 
 EXIT_OK = 0
 EXIT_BENCH_PARTIAL = 1
@@ -124,6 +125,13 @@ def _write_echo(path: Path, values: dict) -> None:
     log.info("effective config written to %s", path)
 
 
+def _setting(flag, extra: dict, key: str, kind: type, default=None):
+    """The flag's value if given, else the config file's, else default."""
+    if flag is not None:
+        return flag
+    return _coerce(key, extra[key], kind) if key in extra else default
+
+
 def _noise_spec(sigma: float, seed: int) -> NoiseSpec:
     try:
         return NoiseSpec(sigma=sigma, seed=seed)
@@ -137,10 +145,10 @@ def _noise_spec(sigma: float, seed: int) -> NoiseSpec:
 
 def cmd_noise(args: argparse.Namespace) -> int:
     extra = parse_config_file(args.config) if args.config else {}
-    if args.sigma is None and "sigma" not in extra:
+    sigma = _setting(args.sigma, extra, "sigma", float)
+    if sigma is None:
         raise UsageError("noise requires --sigma (or 'sigma' in the config file)")
-    sigma = args.sigma if args.sigma is not None else _coerce("sigma", extra["sigma"], float)
-    seed = args.seed if args.seed is not None else _coerce("seed", extra.get("seed", "0"), int)
+    seed = _setting(args.seed, extra, "seed", int, 0)
     spec = _noise_spec(sigma, seed)
     cloud = load_cloud(args.input, args.input_format)
     noisy = add_gaussian_noise(cloud, spec)
@@ -191,6 +199,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     ground = load_cloud(args.ground, None)
     test = load_cloud(args.test, None)
     t0 = time.perf_counter()
@@ -206,22 +216,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     params, _ = build_params(args.config, args)
     cloud = load_cloud(args.input, args.input_format)
-    graph = build_knn_graph(cloud, min(params.k, cloud.n - 1), params.sigma_p)
+    centred, graph, part = prepare_cloud(cloud, params, DiagnosticsReport())
     if args.what == "graph":
         lines = edge_list_lines(graph)
-    else:
-        part = approximate_bipartite(graph, params.delta)
-        if args.what == "bipartition":
-            lines = bipartition_lines(part)
-        else:  # normals
-            cls = RED if args.which == "red" else BLUE
-            field, failed = estimate_normal_field(
-                cloud.positions, graph, part.assignment, cls, params.k, params.sigma_p,
-                params.collinearity_tol,
-            )
-            if failed:
-                log.warning("%d nodes had no valid support pair", len(failed))
-            lines = normal_field_lines(field)
+    elif args.what == "bipartition":
+        lines = bipartition_lines(part)
+    else:  # normals
+        cls = RED if args.which == "red" else BLUE
+        field, failed = estimate_normal_field(
+            centred, graph, part.assignment, cls, params.k, params.sigma_p,
+            params.collinearity_tol,
+        )
+        if failed:
+            log.warning("%d nodes had no valid support pair", len(failed))
+        lines = normal_field_lines(field)
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
         for line in lines:
@@ -268,25 +276,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ) if model_dir.is_dir() else []
     if not models:
         raise UsageError(f"no .xyz or .ply models found in {args.model_dir}")
-    specs = [_noise_spec(_coerce("sigmas", s, float), args.seed)
-             for s in args.sigmas.split(",") if s.strip()]
+    sigmas = _setting(args.sigmas, extra, "sigmas", str, "0.1")
+    seed = _setting(args.seed, extra, "seed", int, 0)
+    specs = [_noise_spec(_coerce("sigmas", s, float), seed)
+             for s in sigmas.split(",") if s.strip()]
     if not specs:
         raise UsageError("--sigmas must list at least one value")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    gamma_given = args.gamma is not None or (args.config and
-                  "gamma" in parse_config_file(args.config))
     rows, failures = [], []
     for model in models:
         for spec in specs:
-            run_params = params
-            if not gamma_given and spec.sigma >= 0.3:
-                run_params = DenoiseParams(**{**params.as_dict(), "gamma": 0.1})
-                log.info("auto-selected gamma=0.1 for %s at sigma=%g",
-                         model.name, spec.sigma)
             try:
-                rows.append(_bench_one(model, spec, run_params, out_dir))
+                rows.append(_bench_one(model, spec, params, out_dir))
             except Exception as exc:
                 log.error("model %s sigma %g failed: %s", model.name, spec.sigma, exc)
                 failures.append((model.name, spec.sigma))
@@ -310,7 +313,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      f"{r['c2p_noisy']:.9e},{r['c2p_denoised']:.9e}\n")
     log.info("benchmark CSV written to %s", csv_path)
     _write_echo(out_dir / "bench.config",
-                {**params.as_dict(), **extra, "sigmas": args.sigmas, "seed": str(args.seed)})
+                {**params.as_dict(), **extra, "sigmas": sigmas, "seed": str(seed)})
     return EXIT_BENCH_PARTIAL if failures else EXIT_OK
 
 
@@ -366,11 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="compare a cloud against ground truth")
+    p = sub.add_parser("eval", help="compare a cloud against ground truth")
     p.add_argument("ground")
     p.add_argument("test")
-    p.add_argument("--k", type=int, default=8, help="plane-fit neighborhood size")
+    p.add_argument("--k", type=int, default=8, help="plane-fit neighborhood size (at least 1)")
     p.add_argument("--model", default=None, help="label for the CSV row")
     p.add_argument("--sigma", type=float, default=0.0, help="label for the CSV row")
     p.set_defaults(func=cmd_eval)
@@ -389,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="noise + denoise + evaluate a directory of models")
     p.add_argument("model_dir")
-    p.add_argument("--sigmas", default="0.1",
+    p.add_argument("--sigmas", default=None,
                    help="comma-separated noise levels (default 0.1)")
-    p.add_argument("--seed", type=int, default=0, help="noise seed for all runs")
+    p.add_argument("--seed", type=int, default=None,
+                   help="noise seed for all runs (default 0)")
     p.add_argument("--output-dir", default="bench_out")
     _add_param_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -37,9 +37,6 @@ class PointCloud:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.positions.min(axis=0), self.positions.max(axis=0)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -65,20 +62,6 @@ def add_gaussian_noise(cloud: PointCloud, spec: NoiseSpec) -> PointCloud:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     noise = spec.sigma * rng.standard_normal((cloud.n, 3))
     return PointCloud(cloud.positions + noise)
-
-
-def rescale_unit_diagonal(cloud: PointCloud) -> tuple[PointCloud, float]:
-    """Scale the cloud so its bounding-box diagonal has length 1.
-
-    Returns (scaled cloud, scale factor applied). Off by default in the
-    pipeline; useful for cross-model comparisons.
-    """
-    lo, hi = cloud.bounding_box()
-    diag = float(np.linalg.norm(hi - lo))
-    if diag == 0.0:
-        raise DegenerateCloudError("cannot rescale a cloud with zero bounding-box diagonal")
-    factor = 1.0 / diag
-    return PointCloud(cloud.positions * factor), factor
 
 
 def _infer_format(path: str, fmt: str | None) -> str:

@@ -190,14 +190,13 @@ def knn_adjacency(points: np.ndarray, k: int) -> csr_matrix:
     return adj
 
 
-def build_knn_graph(cloud_or_points, k: int, sigma_p: float) -> WeightedGraph:
-    """Symmetrized (union) k-NN graph with Gaussian kernel weights.
+def build_knn_graph(points: np.ndarray, k: int, sigma_p: float) -> WeightedGraph:
+    """Symmetrized (union) k-NN graph with Gaussian kernel weights on (N, 3) points.
 
     Every node contributes its k nearest neighbors (exact, ties by smaller
     index); an edge exists if either endpoint selected the other, so each
     node has at least k incident edges.
     """
-    points = getattr(cloud_or_points, "positions", cloud_or_points)
     points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 2:
@@ -219,20 +218,14 @@ def build_knn_graph(cloud_or_points, k: int, sigma_p: float) -> WeightedGraph:
     return WeightedGraph(n, ei, ej, np.atleast_1d(w))
 
 
-def laplacian(graph: WeightedGraph, dense: bool = False):
-    """Combinatorial Laplacian L = D - W (symmetric PSD, zero row sums)."""
+def laplacian(graph: WeightedGraph) -> np.ndarray:
+    """Dense combinatorial Laplacian L = D - W (symmetric PSD, zero row sums)."""
     n = graph.node_count
-    deg = graph.degrees()
-    if dense:
-        L = np.zeros((n, n))
-        L[graph.ei, graph.ej] = -graph.w
-        L[graph.ej, graph.ei] = -graph.w
-        L[np.arange(n), np.arange(n)] = deg
-        return L
-    rows = np.concatenate([graph.ei, graph.ej, np.arange(n)])
-    cols = np.concatenate([graph.ej, graph.ei, np.arange(n)])
-    vals = np.concatenate([-graph.w, -graph.w, deg])
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    L = np.zeros((n, n))
+    L[graph.ei, graph.ej] = -graph.w
+    L[graph.ej, graph.ei] = -graph.w
+    L[np.arange(n), np.arange(n)] = graph.degrees()
+    return L
 
 
 def edge_list_lines(graph: WeightedGraph):

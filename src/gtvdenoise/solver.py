@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix
 
-from .bipartite import BLUE, RED, approximate_bipartite
+from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import PointCloud
 from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
 from .graph import WeightedGraph, build_knn_graph
@@ -417,15 +417,31 @@ def _class_pass(
     return len(failed)
 
 
+def prepare_cloud(
+    cloud: PointCloud, params: DenoiseParams, diag: DiagnosticsReport
+) -> tuple[np.ndarray, WeightedGraph, Bipartition]:
+    """The centroid-centred positions, their k-NN graph and its bipartition.
+
+    This is what denoise solves with. Adds the graph's and the
+    bipartition's wall time to diag's seconds_graph and seconds_bipartition.
+    """
+    centred = cloud.positions - cloud.positions.mean(axis=0)
+    with _stage(diag, "seconds_graph"):
+        graph = build_knn_graph(centred, min(params.k, cloud.n - 1), params.sigma_p)
+    with _stage(diag, "seconds_bipartition"):
+        bp = approximate_bipartite(graph, params.delta)
+    return centred, graph, bp
+
+
 def denoise(
     cloud: PointCloud, params: DenoiseParams | None = None
 ) -> tuple[PointCloud, DiagnosticsReport]:
     """Denoise a cloud; returns the result plus a diagnostics report.
 
     Builds the k-NN graph and the red/blue bipartition of the noisy input
-    once per cloud, then runs outer_max_iter red/blue ADMM passes, ending
-    early after a pass that moved no point. Nodes without a valid
-    support pair stay at their observed positions. Clouds larger than
+    once per cloud (prepare_cloud), then runs outer_max_iter red/blue ADMM
+    passes, ending early after a pass that moved no point. Nodes without a
+    valid support pair stay at their observed positions. Clouds larger than
     window_budget run their passes in overlapping spatial windows, each on
     the cloud's graph and bipartition restricted to its points. The
     bipartition starts at point 0 with approximate_bipartite's 2-hop view.
@@ -454,11 +470,7 @@ def denoise(
     diag.meta.update(cg_iterations=0, cg_steps_at_cap=0, bipartition_levels=0)
     diag.meta.update(dict.fromkeys(STAGE_KEYS, 0.0))
     t0 = time.perf_counter()
-    centred = cloud.positions - cloud.positions.mean(axis=0)
-    with _stage(diag, "seconds_graph"):
-        graph = build_knn_graph(centred, min(params.k, cloud.n - 1), params.sigma_p)
-    with _stage(diag, "seconds_bipartition"):
-        bp = approximate_bipartite(graph, params.delta)
+    centred, graph, bp = prepare_cloud(cloud, params, diag)
     diag.meta.update(bipartition_levels=bp.levels, red_nodes=int(bp.red.size),
                      blue_nodes=int(bp.blue.size))
 

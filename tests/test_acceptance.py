@@ -127,7 +127,7 @@ def test_flat_cloud_flattens_and_normals_realign(verdict, planar_run):
     r = planar_run
     rms = lambda cloud: float(np.sqrt(np.mean(cloud.positions[:, 2] ** 2)))
     ratio = rms(r.denoised) / rms(r.noisy)
-    graph = build_knn_graph(r.denoised, k=r.params.k, sigma_p=r.params.sigma_p)
+    graph = build_knn_graph(r.denoised.positions, k=r.params.k, sigma_p=r.params.sigma_p)
     assign = approximate_bipartite(graph, r.params.delta).assignment
     # measurement uses a stricter conditioning cutoff than the solver:
     # near-sliver support triples the solver tolerated would turn leftover
@@ -228,18 +228,15 @@ def test_two_coloring_recovery_and_divergence_sanity(verdict):
     observed = []
     for graph in (path_graph(6), path_graph(11), cycle_graph(8), cycle_graph(12),
                   grid_graph(4, 5)):
-        bp = approximate_bipartite(graph, delta, 0, record_trace=True)
+        bp = approximate_bipartite(graph, delta)
         zero_removed &= removed_intra_edges(graph, bp) == 0
-        final = kld(
-            laplacian(graph, dense=True),
-            laplacian(induced_bipartite_graph(graph, bp), dense=True),
-            delta,
-        )
+        final = kld(laplacian(graph), laplacian(induced_bipartite_graph(graph, bp)), delta)
         recovery_klds.append(final)
-        observed.extend(v for s in bp.trace for v in (s.d_red, s.d_blue) if not s.seed)
+        # every scored decision; the seed, first, is not scored
+        observed.extend(bp.d_red[1:].tolist() + bp.d_blue[1:].tolist())
     triangle = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
-    one_removed = removed_intra_edges(triangle, approximate_bipartite(triangle, delta, 0)) == 1
-    L = laplacian(path_graph(5), dense=True)
+    one_removed = removed_intra_edges(triangle, approximate_bipartite(triangle, delta)) == 1
+    L = laplacian(path_graph(5))
     self_kld = kld(L, L, delta)
     observed.extend(recovery_klds)
     observed.append(self_kld)

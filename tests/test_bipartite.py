@@ -8,6 +8,7 @@ from gtvdenoise.bipartite import (
     BLUE,
     RED,
     TIE_RTOL,
+    VIEW_HOPS,
     Bipartition,
     approximate_bipartite,
     bipartition_lines,
@@ -44,10 +45,10 @@ def removed_intra_edges(graph, bp):
     return int(np.sum(bp.assignment[graph.ei] == bp.assignment[graph.ej]))
 
 
-def sequential_greedy(graph, delta=0.01, start_node=0, view_hops=2):
-    """One node at a time in BFS rank order, each scored with kld on its view.
+def sequential_greedy(graph, delta=0.01):
+    """One node at a time in BFS rank order from node 0, each scored with kld on its view.
 
-    The view is every assigned node within view_hops of the node, plus the
+    The view is every assigned node within VIEW_HOPS of the node, plus the
     node. Near-equal divergences alternate, red first, and the last node may
     not land a tie in the only populated class.
     """
@@ -57,14 +58,14 @@ def sequential_greedy(graph, delta=0.01, start_node=0, view_hops=2):
     lap = lambda w: np.diag(w.sum(axis=1)) - w
     assign = np.full(n, -1)
     tie_next = RED
-    for seed in [start_node, *range(n)]:
+    for seed in range(n):
         if assign[seed] >= 0:
             continue
         for c in breadth_first_order(graph.adjacency, seed, return_predecessors=False):
             if np.all(assign < 0):
                 assign[c] = RED
                 continue
-            view = np.flatnonzero(((assign >= 0) & (hops[c] <= view_hops)) | (np.arange(n) == c))
+            view = np.flatnonzero(((assign >= 0) & (hops[c] <= VIEW_HOPS)) | (np.arange(n) == c))
             w = w_all[np.ix_(view, view)]
             d = []
             for g in (RED, BLUE):
@@ -81,17 +82,22 @@ def sequential_greedy(graph, delta=0.01, start_node=0, view_hops=2):
     return assign
 
 
+def ties(bp):
+    """Which recorded decisions tied; the unscored seed does not."""
+    return np.abs(bp.d_blue - bp.d_red) <= TIE_RTOL * np.maximum(1.0, np.abs(bp.d_red))
+
+
 class TestKld:
     def test_identical_fields_give_zero(self):
         g = path_graph(5)
-        L = laplacian(g, dense=True)
+        L = laplacian(g)
         assert kld(L, L, 0.01) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_node_edge_drop_closed_form(self):
         # unit edge with delta = 1: dropping it costs
         # 0.5 * (4/3 + ln 3 - 2) = 0.2159728110007215...
         g = path_graph(2)
-        L = laplacian(g, dense=True)
+        L = laplacian(g)
         got = kld(L, np.zeros((2, 2)), delta=1.0)
         expect = 0.5 * (4.0 / 3.0 + np.log(3.0) - 2.0)
         assert got == pytest.approx(expect, abs=1e-12)
@@ -101,25 +107,21 @@ class TestKld:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(12, 3))
         g = build_knn_graph(pts, k=3, sigma_p=1.5)
-        L = laplacian(g, dense=True)
+        L = laplacian(g)
         for _ in range(20):
             keep = rng.random(g.edge_count) < 0.6
             sub = WeightedGraph(g.node_count, g.ei[keep], g.ej[keep], g.w[keep])
-            assert kld(L, laplacian(sub, dense=True), 0.01) >= -1e-9
+            assert kld(L, laplacian(sub), 0.01) >= -1e-9
 
     def test_monotone_in_dropped_weight(self):
         # dropping a heavier edge hurts more
-        L1 = laplacian(path_graph(2, w=0.3), dense=True)
-        L2 = laplacian(path_graph(2, w=0.9), dense=True)
+        L1 = laplacian(path_graph(2, w=0.3))
+        L2 = laplacian(path_graph(2, w=0.9))
         z = np.zeros((2, 2))
         assert kld(L2, z, 0.01) > kld(L1, z, 0.01)
 
-    def test_sparse_inputs_accepted(self):
-        g = path_graph(4)
-        assert kld(laplacian(g), laplacian(g), 0.5) == pytest.approx(0.0, abs=1e-9)
-
     def test_bad_delta_rejected(self):
-        L = laplacian(path_graph(2), dense=True)
+        L = laplacian(path_graph(2))
         with pytest.raises(ValueError):
             kld(L, L, 0.0)
 
@@ -157,8 +159,8 @@ class TestGreedyOnBipartiteGraphs:
     def test_zero_removed_edges_and_zero_kld(self, graph):
         bp = approximate_bipartite(graph, delta=0.01)
         assert removed_intra_edges(graph, bp) == 0
-        L = laplacian(graph, dense=True)
-        Lb = laplacian(induced_bipartite_graph(graph, bp), dense=True)
+        L = laplacian(graph)
+        Lb = laplacian(induced_bipartite_graph(graph, bp))
         assert kld(L, Lb, 0.01) <= 1e-9
 
     def test_proper_two_coloring(self):
@@ -174,10 +176,8 @@ class TestGreedyGeneral:
         assert removed_intra_edges(g, bp) == 1
 
     def test_start_node_is_red(self):
-        g = path_graph(5)
-        for start in (0, 2, 4):
-            bp = approximate_bipartite(g, start_node=start)
-            assert bp.assignment[start] == RED
+        bp = approximate_bipartite(path_graph(5))
+        assert bp.order[0] == 0 and bp.assignment[0] == RED
 
     def test_deterministic(self):
         pts = np.random.default_rng(1).normal(size=(40, 3))
@@ -195,62 +195,61 @@ class TestGreedyGeneral:
 
     def test_trace_records_every_decision(self):
         g = cycle_graph(5)
-        bp = approximate_bipartite(g, record_trace=True)
-        assert bp.trace is not None and len(bp.trace) == 5
-        assert bp.trace[0].seed and bp.trace[0].chosen == RED
-        for step in bp.trace[1:]:
-            assert step.d_red >= -1e-9 and step.d_blue >= -1e-9
-            if not step.tie:
-                worse_to_drop = RED if step.d_blue > step.d_red else BLUE
-                assert step.chosen == worse_to_drop
+        bp = approximate_bipartite(g)
+        assert sorted(bp.order) == list(range(5))
+        assert bp.d_red.shape == bp.d_blue.shape == (5,)
+        assert np.isnan(bp.d_red[0]) and np.isnan(bp.d_blue[0])
+        assert bp.assignment[bp.order[0]] == RED
+        tie = ties(bp)
+        for node, d_red, d_blue, t in zip(bp.order[1:], bp.d_red[1:], bp.d_blue[1:], tie[1:]):
+            assert d_red >= -1e-9 and d_blue >= -1e-9
+            if not t:
+                worse_to_drop = RED if d_blue > d_red else BLUE
+                assert bp.assignment[node] == worse_to_drop
 
     def test_divergences_nonnegative_on_knn_cloud(self):
         pts = np.random.default_rng(2).normal(size=(30, 3))
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
-        bp = approximate_bipartite(g, record_trace=True)
-        for step in bp.trace:
-            assert step.d_red >= -1e-9 and step.d_blue >= -1e-9
+        bp = approximate_bipartite(g)
+        assert np.all(bp.d_red[1:] >= -1e-9) and np.all(bp.d_blue[1:] >= -1e-9)
 
     @pytest.mark.parametrize("clusters", [1, 2], ids=["connected", "two-components"])
     def test_divergences_match_dense_reference(self, clusters):
         # every candidate divergence equals kld() of dense Laplacians on the
-        # step's local view: assigned nodes within view_hops, plus the node
+        # step's local view: assigned nodes within VIEW_HOPS, plus the node
         rng = np.random.default_rng(1)
         pts = np.vstack([rng.normal(size=(40 // clusters, 3)) + 1000.0 * c
                          for c in range(clusters)])
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
         assert connected_components(g.adjacency)[0] == clusters
         hops = shortest_path(g.adjacency, unweighted=True)
-        view_hops, delta = 2, 0.01
-        bp = approximate_bipartite(g, delta=delta, view_hops=view_hops, record_trace=True)
-        assert len(bp.trace) == g.node_count
+        delta = 0.01
+        bp = approximate_bipartite(g, delta=delta)
+        assert sorted(bp.order) == list(range(g.node_count))
         assign = np.full(g.node_count, -1)
-        for step in bp.trace:
-            if not step.seed:
-                view = np.flatnonzero(((assign >= 0) & (hops[step.node] <= view_hops))
-                                      | (np.arange(g.node_count) == step.node))
+        for t, node in enumerate(bp.order):
+            if t > 0:
+                view = np.flatnonzero(((assign >= 0) & (hops[node] <= VIEW_HOPS))
+                                      | (np.arange(g.node_count) == node))
                 inside = np.isin(g.ei, view) & np.isin(g.ej, view)
                 ei = np.searchsorted(view, g.ei[inside])
                 ej = np.searchsorted(view, g.ej[inside])
                 w = g.w[inside]
-                l_orig = laplacian(WeightedGraph(view.size, ei, ej, w), dense=True)
-                for g_c, d in ((RED, step.d_red), (BLUE, step.d_blue)):
+                l_orig = laplacian(WeightedGraph(view.size, ei, ej, w))
+                for g_c, d in ((RED, bp.d_red[t]), (BLUE, bp.d_blue[t])):
                     cls = assign[view].copy()
-                    cls[view == step.node] = g_c
+                    cls[view == node] = g_c
                     cross = cls[ei] != cls[ej]
-                    l_bip = laplacian(
-                        WeightedGraph(view.size, ei[cross], ej[cross], w[cross]), dense=True
-                    )
+                    l_bip = laplacian(WeightedGraph(view.size, ei[cross], ej[cross], w[cross]))
                     assert d == pytest.approx(kld(l_orig, l_bip, delta), rel=1e-10, abs=1e-10)
-            assign[step.node] = step.chosen
+            assign[node] = bp.assignment[node]
 
-    @pytest.mark.parametrize("seed,k,view_hops", [(0, 4, 1), (1, 5, 2), (2, 6, 3),
-                                                   (3, 8, 2), (4, 7, 1), (5, 4, 3)])
-    def test_levels_match_the_sequential_greedy_on_knn_clouds(self, seed, k, view_hops):
+    @pytest.mark.parametrize("seed,k", [(0, 4), (1, 5), (2, 6), (3, 8), (4, 7), (5, 4)])
+    def test_levels_match_the_sequential_greedy_on_knn_clouds(self, seed, k):
         pts = np.random.default_rng(seed).normal(size=(60, 3))
         g = build_knn_graph(pts, k=k, sigma_p=1.5)
-        bp = approximate_bipartite(g, view_hops=view_hops)
-        np.testing.assert_array_equal(bp.assignment, sequential_greedy(g, view_hops=view_hops))
+        bp = approximate_bipartite(g)
+        np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
         assert 1 < bp.levels < g.node_count
 
     def test_levels_match_the_sequential_greedy_on_two_components(self):
@@ -258,9 +257,8 @@ class TestGreedyGeneral:
         pts = np.vstack([rng.normal(size=(25, 3)), rng.normal(size=(30, 3)) + 1000.0])
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
         assert connected_components(g.adjacency)[0] == 2
-        for start in (0, 40):
-            bp = approximate_bipartite(g, start_node=start)
-            np.testing.assert_array_equal(bp.assignment, sequential_greedy(g, start_node=start))
+        bp = approximate_bipartite(g)
+        np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
 
     def test_levels_match_the_sequential_greedy_on_ties(self):
         # unit-weight triangles and K4s: each non-first component's root and
@@ -271,24 +269,24 @@ class TestGreedyGeneral:
                 for b in range(a + 1, size):
                     ei.append(base + a), ej.append(base + b)
         g = WeightedGraph(17, ei, ej, np.ones(len(ei)))
-        bp = approximate_bipartite(g, record_trace=True)
-        assert sum(step.tie for step in bp.trace) == 9
+        bp = approximate_bipartite(g)
+        assert ties(bp).sum() == 9
         np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
-        # edgeless graphs tie at every node; with 2 nodes the forced rule fires
+        # edgeless graphs tie at every node, so after the red seed the picks
+        # alternate red first; with 2 nodes the forced rule overrides the pick
         for n in (2, 3, 5):
             g = WeightedGraph(n, [], [], [])
-            bp = approximate_bipartite(g, record_trace=True)
-            assert [step.forced for step in bp.trace] == [False, n == 2] + [False] * (n - 2)
+            bp = approximate_bipartite(g)
+            assert ties(bp)[1:].all()
+            alternation = np.array([RED] + [RED, BLUE] * n)[:n]
+            forced = bp.assignment[bp.order] != alternation
+            assert forced.tolist() == [False, n == 2] + [False] * (n - 2)
             np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
 
     def test_bad_arguments_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
             approximate_bipartite(g, delta=0.0)
-        with pytest.raises(ValueError):
-            approximate_bipartite(g, start_node=7)
-        with pytest.raises(ValueError):
-            approximate_bipartite(g, view_hops=0)
 
 
 class TestInducedSubgraph:

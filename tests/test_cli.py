@@ -21,9 +21,10 @@ from gtvdenoise.cli import (
     main,
     parse_config_file,
 )
-from gtvdenoise.cloud import PointCloud, load_cloud, save_cloud
+from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
 from gtvdenoise.errors import ConfigError
 from gtvdenoise.solver import DenoiseParams
+from gtvdenoise.synthetic import sphere_with_spacing
 
 
 @pytest.fixture
@@ -294,6 +295,19 @@ class TestEvalCommand:
         row = capsys.readouterr().out.strip().splitlines()[-1]
         assert row.startswith("plane,0,")
 
+    def test_takes_no_config(self, plane_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["-q", "eval", str(plane_file), str(plane_file),
+                  "--config", str(tmp_path / "absent.cfg")])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_usage(self, plane_file, capsys, caplog, k):
+        code = main(["-q", "eval", str(plane_file), str(plane_file), "--k", k])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert [r.levelno for r in caplog.records] == [logging.ERROR]
+
 
 class TestInspectCommand:
     def test_graph_lines(self, plane_file, capsys):
@@ -322,6 +336,20 @@ class TestInspectCommand:
         # flat cloud: normals along +-z
         assert abs(float(first[3])) == pytest.approx(1.0, abs=1e-6)
 
+    def test_normals_do_not_depend_on_where_the_cloud_sits(self, tmp_path):
+        # inspect works on centred coordinates, as denoise does: far from the
+        # origin the normals would otherwise carry its rounding error
+        cloud = add_gaussian_noise(sphere_with_spacing(200, 1.0), NoiseSpec(0.1, 1))
+        normals = []
+        for name, shift in (("near", 0.0), ("far", np.array([1e5, -1e5, 1e5]))):
+            path, out = tmp_path / f"{name}.xyz", tmp_path / f"{name}.txt"
+            save_cloud(PointCloud(cloud.positions + shift), str(path))
+            assert main(["-q", "inspect", str(path), "normals", "--output", str(out)]) == EXIT_OK
+            normals.append(np.loadtxt(out))
+        near, far = normals
+        np.testing.assert_array_equal(near[:, [0, 4, 5, 6]], far[:, [0, 4, 5, 6]])
+        np.testing.assert_allclose(far[:, 1:4], near[:, 1:4], rtol=0, atol=1e-8)
+
     def test_cloud_with_at_most_k_points(self, plane_file, tmp_path, capsys):
         path = tmp_path / "six.xyz"
         save_cloud(PointCloud(load_cloud(str(plane_file)).positions[[0, 1, 2, 8, 9, 17]]),
@@ -348,6 +376,18 @@ class TestBenchCommand:
         assert (out_dir / "plane_s0.05_denoised.xyz").exists()
         assert (out_dir / "plane_s0.05.diag").exists()
         assert (out_dir / "bench.config").exists()
+
+    def test_echo_rerun_reproduces_the_csv(self, plane_file, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["-q", "bench", str(plane_file.parent), "--sigmas", "0.3", "--seed", "1",
+                     "--output-dir", str(first), "--outer-max-iter", "1",
+                     "--admm-max-iter", "30", "--collinearity-tol", "0.05"]) == EXIT_OK
+        echo = parse_config_file(str(first / "bench.config"))
+        assert (echo["sigmas"], echo["seed"], echo["gamma"]) == ("0.3", "1", "0.05")
+        assert main(["-q", "bench", str(plane_file.parent), "--config",
+                     str(first / "bench.config"), "--output-dir", str(second)]) == EXIT_OK
+        assert (first / "bench.csv").read_bytes() == (second / "bench.csv").read_bytes()
+        assert (second / "bench.csv").read_text().splitlines()[1].startswith("plane,0.3,1,")
 
     def test_empty_model_dir_usage_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -8,7 +8,6 @@ from gtvdenoise.cloud import (
     PointCloud,
     add_gaussian_noise,
     load_cloud,
-    rescale_unit_diagonal,
     save_cloud,
 )
 from gtvdenoise.errors import CloudFormatError, DegenerateCloudError
@@ -44,12 +43,9 @@ class TestPointCloud:
         with pytest.raises(DegenerateCloudError):
             PointCloud(bad)
 
-    def test_len_and_bounding_box(self):
+    def test_len(self):
         cloud = PointCloud([[0, 0, 0], [2, 3, 4]])
-        assert len(cloud) == 2
-        lo, hi = cloud.bounding_box()
-        assert lo.tolist() == [0, 0, 0]
-        assert hi.tolist() == [2, 3, 4]
+        assert len(cloud) == 2 == cloud.n
 
 
 class TestNoise:
@@ -82,19 +78,6 @@ class TestNoise:
         noisy = add_gaussian_noise(cloud, NoiseSpec(sigma=0.1, seed=1))
         mean_len = np.linalg.norm(noisy.positions, axis=1).mean()
         assert abs(mean_len - 0.1 * np.sqrt(8 / np.pi)) < 0.002
-
-
-class TestRescale:
-    def test_unit_diagonal(self):
-        cloud = PointCloud([[0, 0, 0], [3, 4, 0]])
-        scaled, factor = rescale_unit_diagonal(cloud)
-        lo, hi = scaled.bounding_box()
-        assert np.linalg.norm(hi - lo) == pytest.approx(1.0)
-        assert factor == pytest.approx(0.2)
-
-    def test_zero_diagonal_rejected(self):
-        with pytest.raises(DegenerateCloudError):
-            rescale_unit_diagonal(PointCloud([[1, 1, 1], [1, 1, 1]]))
 
 
 class TestXyzIO:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gtvdenoise.cloud import PointCloud
 from gtvdenoise.errors import DegenerateCloudError
 from gtvdenoise.graph import (
     SpatialIndex,
@@ -171,8 +170,7 @@ class TestBuildKnnGraph:
 
     def test_min_degree_k(self):
         rng = np.random.default_rng(2)
-        cloud = PointCloud(rng.normal(size=(80, 3)))
-        g = build_knn_graph(cloud, k=6, sigma_p=1.5)
+        g = build_knn_graph(rng.normal(size=(80, 3)), k=6, sigma_p=1.5)
         assert np.diff(g.adjacency.indptr).min() >= 6
 
     def test_weights_match_kernel(self):
@@ -181,13 +179,6 @@ class TestBuildKnnGraph:
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
         expect = edge_weight(pts[g.ei], pts[g.ej], 1.5)
         np.testing.assert_allclose(g.w, expect)
-
-    def test_accepts_cloud_and_raw_points(self):
-        pts = np.random.default_rng(4).normal(size=(10, 3))
-        a = build_knn_graph(PointCloud(pts), k=3, sigma_p=1.5)
-        b = build_knn_graph(pts, k=3, sigma_p=1.5)
-        np.testing.assert_array_equal(a.ei, b.ei)
-        np.testing.assert_array_equal(a.ej, b.ej)
 
     def test_coincident_cloud_rejected(self):
         with pytest.raises(DegenerateCloudError):
@@ -213,17 +204,10 @@ class TestBuildKnnGraph:
 
 
 class TestLaplacian:
-    def test_sparse_dense_agree(self):
-        pts = np.random.default_rng(6).normal(size=(25, 3))
-        g = build_knn_graph(pts, k=4, sigma_p=1.5)
-        L_s = laplacian(g).toarray()
-        L_d = laplacian(g, dense=True)
-        np.testing.assert_allclose(L_s, L_d)
-
     def test_zero_row_sums_and_psd(self):
         pts = np.random.default_rng(7).normal(size=(40, 3))
         g = build_knn_graph(pts, k=5, sigma_p=1.5)
-        L = laplacian(g, dense=True)
+        L = laplacian(g)
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(L, L.T)
         eig = np.linalg.eigvalsh(L)
@@ -231,7 +215,7 @@ class TestLaplacian:
 
     def test_quadratic_form_counts_edge_differences(self):
         g = WeightedGraph(3, [0, 1], [1, 2], [0.5, 0.25])
-        L = laplacian(g, dense=True)
+        L = laplacian(g)
         x = np.array([1.0, 3.0, 0.0])
         expect = 0.5 * (1 - 3) ** 2 + 0.25 * (3 - 0) ** 2
         assert x @ L @ x == pytest.approx(expect)
