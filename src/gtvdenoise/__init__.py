@@ -1,13 +1,11 @@
-"""Point cloud denoising by graph total variation of surface normals."""
+"""Point cloud denoising by graph total variation of surface normals.
 
-from .bipartite import (
-    BLUE,
-    RED,
-    Bipartition,
-    approximate_bipartite,
-    induced_bipartite_graph,
-    kld,
-)
+denoise runs the pipeline's stages, each also exported: build_knn_graph,
+approximate_bipartite, estimate_normal_field and admm_denoise_partite.
+evaluate measures a result against a reference cloud.
+"""
+
+from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
 from .cloud import (
     NoiseSpec,
     PointCloud,
@@ -24,8 +22,8 @@ from .errors import (
     MissingLinearizationError,
     UsageError,
 )
-from .graph import SpatialIndex, WeightedGraph, build_knn_graph, edge_weight, laplacian
-from .metrics import MetricReport, c2c, c2p, evaluate, gtv_value
+from .graph import SpatialIndex, WeightedGraph, build_knn_graph
+from .metrics import MetricReport, evaluate
 from .normals import (
     NormalField,
     affine_normals,
@@ -56,8 +54,6 @@ __all__ = [
     "Bipartition",
     "BLUE",
     "build_knn_graph",
-    "c2c",
-    "c2p",
     "CloudFormatError",
     "ConfigError",
     "DegenerateCloudError",
@@ -65,14 +61,9 @@ __all__ = [
     "DenoiseParams",
     "DiagnosticsReport",
     "EdgeOperator",
-    "edge_weight",
     "estimate_normal_field",
     "evaluate",
     "GtvDenoiseError",
-    "gtv_value",
-    "induced_bipartite_graph",
-    "kld",
-    "laplacian",
     "load_cloud",
     "MetricReport",
     "MissingLinearizationError",

@@ -16,6 +16,9 @@ into dependency levels: level 0 when the view is the node alone, else 1
 + the highest level in the view. No two nodes of a level are in each
 other's view, so one batched step scores a whole level: the views are
 zero-padded into one stack and factored by one Cholesky call.
+
+approximate_bipartite, its Bipartition result and bipartition_lines (the
+inspect dump) are the module's interface.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -87,28 +89,6 @@ def _divergences(p: np.ndarray) -> np.ndarray:
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     trace = np.sum(p[1:] * np.linalg.inv(p[0]), axis=(-2, -1))
     return 0.5 * (trace + logdet[0] - logdet[1:] - p.shape[-1])
-
-
-def kld(l_orig: np.ndarray, l_bip: np.ndarray, delta: float) -> float:
-    """Divergence of the field (l_bip + delta*I)^-1 from (l_orig + delta*I)^-1.
-
-    Both arguments are dense Laplacians of graphs on the same node set.
-    Returns
-        0.5 * (tr(P_b * Sigma) + logdet(P_o) - logdet(P_b) - n)
-    with P_o = l_orig + delta*I, P_b = l_bip + delta*I, Sigma = P_o^-1.
-    Zero iff the two fields coincide; always >= 0 up to round-off.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    a = np.asarray(l_orig, dtype=np.float64)
-    b = np.asarray(l_bip, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"Laplacian shapes must match and be square, got {a.shape} and {b.shape}")
-    eye = delta * np.eye(a.shape[0])
-    try:
-        return float(_divergences(np.stack([a + eye, b + eye]))[0])
-    except LinAlgError as exc:
-        raise ValueError("Laplacian plus delta*I is not positive definite") from exc
 
 
 def _entries(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,16 +248,6 @@ def approximate_bipartite(graph: WeightedGraph, delta: float = 0.01) -> Bipartit
     assignment[order] = state.assign
     d_red, d_blue = state.d
     return Bipartition(assignment, state.levels, order[state.decided], d_red, d_blue)
-
-
-def induced_bipartite_graph(graph: WeightedGraph, bp: Bipartition) -> WeightedGraph:
-    """Subgraph keeping only cross-class edges, same node set and weights."""
-    if bp.assignment.size != graph.node_count:
-        raise ValueError(
-            f"assignment covers {bp.assignment.size} nodes, graph has {graph.node_count}"
-        )
-    keep = bp.assignment[graph.ei] != bp.assignment[graph.ej]
-    return WeightedGraph(graph.node_count, graph.ei[keep], graph.ej[keep], graph.w[keep])
 
 
 def bipartition_lines(bp: Bipartition):

@@ -29,7 +29,7 @@ import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .bipartite import BLUE, RED, bipartition_lines
+from .bipartite import BLUE, RED, approximate_bipartite, bipartition_lines
 from .cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
 from .errors import (
     AdmmDivergenceError,
@@ -42,7 +42,7 @@ from .errors import (
 from .graph import edge_list_lines
 from .metrics import CSV_HEADER, evaluate
 from .normals import estimate_normal_field, normal_field_lines
-from .solver import STAGE_KEYS, DenoiseParams, DiagnosticsReport, denoise, prepare_cloud
+from .solver import STAGE_KEYS, DenoiseParams, DiagnosticsReport, centred_knn_graph, denoise
 
 EXIT_OK = 0
 EXIT_BENCH_PARTIAL = 1
@@ -216,7 +216,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     params, _ = build_params(args.config, args)
     cloud = load_cloud(args.input, args.input_format)
-    centred, graph, part = prepare_cloud(cloud, params, DiagnosticsReport())
+    centred, graph = centred_knn_graph(cloud, params, DiagnosticsReport())
+    # the bipartition only for the dumps that show it
+    part = None if args.what == "graph" else approximate_bipartite(graph, params.delta)
     if args.what == "graph":
         lines = edge_list_lines(graph)
     elif args.what == "bipartition":

@@ -11,6 +11,8 @@ which makes both the cloud's graph and each pass's class graph. A WeightedGraph
 keeps its edges as canonical arrays plus a cached symmetric CSR
 adjacency, which callers slice by row, walk for the window layout or hand
 to scipy.sparse.csgraph; subgraph restricts it to one window's points.
+edge_weight is the kernel build_knn_graph applies to every edge, and
+edge_list_lines is the inspect dump of a graph.
 """
 
 from __future__ import annotations
@@ -86,17 +88,15 @@ class SpatialIndex:
         return self.query_knn(targets, 1)[:, 0]
 
 
-def edge_weight(p_i: np.ndarray, p_j: np.ndarray, sigma_p: float) -> float | np.ndarray:
-    """Gaussian kernel weight exp(-||p_i - p_j||^2 / sigma_p^2).
+def edge_weight(p_i: np.ndarray, p_j: np.ndarray, sigma_p: float) -> np.ndarray:
+    """Gaussian kernel weight exp(-||p_i - p_j||^2 / sigma_p^2) over the last axis.
 
-    Accepts single points or (..., 3) stacks; identical points give 1.
+    Identical points give 1.
     """
     if sigma_p <= 0:
         raise ValueError(f"sigma_p must be > 0, got {sigma_p}")
     diff = np.asarray(p_i, dtype=np.float64) - np.asarray(p_j, dtype=np.float64)
-    sq = np.sum(diff * diff, axis=-1)
-    w = np.exp(-sq / (sigma_p * sigma_p))
-    return float(w) if np.ndim(w) == 0 else w
+    return np.exp(-np.sum(diff * diff, axis=-1) / (sigma_p * sigma_p))
 
 
 @dataclass(eq=False)
@@ -141,13 +141,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return self.ei.size
-
-    def degrees(self) -> np.ndarray:
-        """Weighted degree of every node."""
-        deg = np.zeros(self.node_count)
-        np.add.at(deg, self.ei, self.w)
-        np.add.at(deg, self.ej, self.w)
-        return deg
 
     def subgraph(self, nodes: np.ndarray) -> WeightedGraph:
         """The graph induced on ascending node ids, node nodes[t] relabelled t.
@@ -215,17 +208,7 @@ def build_knn_graph(points: np.ndarray, k: int, sigma_p: float) -> WeightedGraph
     # Neighbours more than ~27 sigma_p apart underflow to weight 0; keep such
     # an edge at the smallest positive weight so the graph stays valid.
     w = np.maximum(edge_weight(points[ei], points[ej], sigma_p), np.finfo(np.float64).tiny)
-    return WeightedGraph(n, ei, ej, np.atleast_1d(w))
-
-
-def laplacian(graph: WeightedGraph) -> np.ndarray:
-    """Dense combinatorial Laplacian L = D - W (symmetric PSD, zero row sums)."""
-    n = graph.node_count
-    L = np.zeros((n, n))
-    L[graph.ei, graph.ej] = -graph.w
-    L[graph.ej, graph.ei] = -graph.w
-    L[np.arange(n), np.arange(n)] = graph.degrees()
-    return L
+    return WeightedGraph(n, ei, ej, w)
 
 
 def edge_list_lines(graph: WeightedGraph):

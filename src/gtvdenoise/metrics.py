@@ -1,14 +1,20 @@
-"""Denoising quality metrics.
+"""Denoising quality metrics; evaluate is the one entry point.
 
-c2c: mean nearest-neighbor distance between clouds, squared or not,
-reported per direction and symmetrized (average of both directions).
+evaluate(ground, test, k) matches every point to its nearest point in the
+other cloud, once per direction, and reports both metrics per direction
+and symmetrized (average of both directions) in a MetricReport:
+
+c2c: mean nearest-neighbor distance between clouds, squared or not.
+Identical clouds give exactly zero.
 
 c2p: mean squared distance from each point of one cloud to the tangent
 plane at its nearest point in the other cloud. The tangent plane passes
 through that nearest point with the normal from a least-squares plane
 fit (centroid plus smallest principal direction) of the point and its k
 nearest same-cloud neighbors; a point-to-plane distance therefore never
-exceeds the corresponding point-to-point distance.
+exceeds the corresponding point-to-point distance. A fit whose points
+all coincide has no plane and falls back to the squared point-to-point
+distance; MetricReport.degenerate_planes counts such matches.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpatialIndex, WeightedGraph
+from .graph import SpatialIndex
 
 
 @dataclass(frozen=True)
@@ -70,30 +76,6 @@ def _positions(cloud) -> np.ndarray:
     return np.asarray(getattr(cloud, "positions", cloud), dtype=np.float64)
 
 
-def _matches(ground, test) -> list[tuple[np.ndarray, SpatialIndex, np.ndarray, np.ndarray]]:
-    """(source, target index, nearest distances, nearest indices), ground->test first."""
-    a, b = _positions(ground), _positions(test)
-    matches = []
-    for src, dst in ((a, SpatialIndex(b)), (b, SpatialIndex(a))):
-        idx = dst.nearest(src)
-        matches.append((src, dst, np.linalg.norm(src - dst.points[idx], axis=1), idx))
-    return matches
-
-
-def _c2c(matches, squared: bool) -> DirectedMetric:
-    return DirectedMetric(*(float(np.mean(dist**2 if squared else dist))
-                            for _, _, dist, _ in matches))
-
-
-def c2c(ground, test, squared: bool = False) -> DirectedMetric:
-    """Mean nearest-neighbor distance in both directions.
-
-    Identical clouds give exactly zero. Each direction averages over the
-    source cloud; 'symmetric' averages the two directions.
-    """
-    return _c2c(_matches(ground, test), squared)
-
-
 def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point unit normal from the LS plane of the point + k nearest neighbors.
 
@@ -115,12 +97,18 @@ def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]
     return normals, degenerate
 
 
-def _c2p(matches, k: int) -> tuple[DirectedMetric, int]:
+def evaluate(ground, test, k: int = 8) -> MetricReport:
+    """Full metric set between a reference and a test cloud; one match per direction."""
+    a, b = _positions(ground), _positions(test)
+    c2c_dist, c2c_sq, c2p_sq = [], [], []
     degenerate_total = 0
-    means = []
-    for src, dst, dist, idx in matches:
-        normals, degenerate = _plane_normals(dst, k)
+    for src, dst in ((a, SpatialIndex(b)), (b, SpatialIndex(a))):  # ground->test first
+        idx = dst.nearest(src)
         offset = src - dst.points[idx]
+        dist = np.linalg.norm(offset, axis=1)
+        c2c_dist.append(float(np.mean(dist)))
+        c2c_sq.append(float(np.mean(dist**2)))
+        normals, degenerate = _plane_normals(dst, k)
         d_plane = np.abs(np.einsum("ni,ni->n", normals[idx], offset))
         bad = degenerate[idx]
         d_plane = np.where(bad, dist, d_plane)
@@ -128,55 +116,18 @@ def _c2p(matches, k: int) -> tuple[DirectedMetric, int]:
         # Planes pass through the matched point, so they can never be
         # farther than the point itself, up to a few ulps of rounding.
         assert np.all(d_plane <= dist * (1.0 + 8.0 * np.finfo(np.float64).eps))
-        means.append(float(np.mean(d_plane**2)))
-    return DirectedMetric(means[0], means[1]), degenerate_total
-
-
-def c2p(ground, test, k: int = 8) -> tuple[DirectedMetric, int]:
-    """Mean squared point-to-tangent-plane distance, both directions.
-
-    Degenerate plane fits fall back to the squared point-to-point
-    distance; their count is returned alongside the metric.
-    """
-    return _c2p(_matches(ground, test), k)
-
-
-def evaluate(ground, test, k: int = 8) -> MetricReport:
-    """Full metric set between a reference and a test cloud; one match per direction."""
-    matches = _matches(ground, test)
-    c2p_metric, degenerate = _c2p(matches, k)
+        c2p_sq.append(float(np.mean(d_plane**2)))
     return MetricReport(
-        c2c_mean_dist=_c2c(matches, squared=False),
-        c2c_mean_sq=_c2c(matches, squared=True),
-        c2p_mean_sq=c2p_metric,
-        degenerate_planes=degenerate,
+        c2c_mean_dist=DirectedMetric(*c2c_dist),
+        c2c_mean_sq=DirectedMetric(*c2c_sq),
+        c2p_mean_sq=DirectedMetric(*c2p_sq),
+        degenerate_planes=degenerate_total,
     )
-
-
-def gtv_value(normals: np.ndarray, graph: WeightedGraph) -> float:
-    """Graph total variation: sum over edges of w_ij * ||n_i - n_j||_1.
-
-    Each undirected edge counts once. Zero when all normals coincide.
-    """
-    normals = np.asarray(normals, dtype=np.float64)
-    if normals.shape != (graph.node_count, 3):
-        raise ValueError(
-            f"need one normal per node: got {normals.shape}, {graph.node_count} nodes"
-        )
-    if not np.all(np.isfinite(normals)):
-        raise ValueError("normals contain non-finite values")
-    if graph.edge_count == 0:
-        return 0.0
-    diff = np.abs(normals[graph.ei] - normals[graph.ej]).sum(axis=1)
-    return float(graph.w @ diff)
 
 
 __all__ = [
     "DirectedMetric",
     "MetricReport",
     "CSV_HEADER",
-    "c2c",
-    "c2p",
     "evaluate",
-    "gtv_value",
 ]

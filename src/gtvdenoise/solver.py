@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.sparse import bsr_matrix, csr_matrix
 
-from .bipartite import BLUE, RED, Bipartition, approximate_bipartite
+from .bipartite import BLUE, RED, approximate_bipartite
 from .cloud import PointCloud
 from .errors import AdmmDivergenceError, DegenerateCloudError, MissingLinearizationError
 from .graph import WeightedGraph, build_knn_graph
@@ -267,24 +267,14 @@ def p_update(
         iterations += 1
 
 
-def soft_threshold(m, tau):
-    """Componentwise soft threshold: shrink toward zero by tau, clip at zero.
+def soft_threshold(m: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Componentwise soft threshold of m by tau >= 0: shrink toward zero, clip at zero.
 
     m - clip(m, -tau, tau) equals sign(m) max(|m| - tau, 0) everywhere,
     NaN and infinities included, up to the sign of a zero result; the clip
     is spelled out, which is faster than np.clip.
     """
-    m = np.asarray(m, dtype=np.float64)
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if np.any(tau_arr < 0):
-        raise ValueError("threshold must be >= 0")
-    out = m - np.minimum(np.maximum(m, -tau_arr), tau_arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def edge_thresholds(weights: np.ndarray, scale: float) -> np.ndarray:
-    """Per-component thresholds: scale * w_e repeated for the 3 rows of each edge."""
-    return np.repeat(scale * np.asarray(weights, dtype=np.float64), 3)
+    return m - np.minimum(np.maximum(m, -tau), tau)
 
 
 def _require_finite(stacked: np.ndarray, message: str) -> None:
@@ -321,7 +311,7 @@ def admm_denoise_partite(
     g_u = np.zeros_like(q)
     g_b = op.adjoint((op.D @ op.b).ravel())
     w3 = np.repeat(class_graph.w, 3)
-    tau = edge_thresholds(class_graph.w, params.gamma / params.rho)
+    tau = (params.gamma / params.rho) * w3
     tiny = np.finfo(np.float64).tiny
 
     t0 = time.perf_counter()
@@ -417,20 +407,17 @@ def _class_pass(
     return len(failed)
 
 
-def prepare_cloud(
+def centred_knn_graph(
     cloud: PointCloud, params: DenoiseParams, diag: DiagnosticsReport
-) -> tuple[np.ndarray, WeightedGraph, Bipartition]:
-    """The centroid-centred positions, their k-NN graph and its bipartition.
+) -> tuple[np.ndarray, WeightedGraph]:
+    """The centroid-centred positions and their k-NN graph, as denoise solves with them.
 
-    This is what denoise solves with. Adds the graph's and the
-    bipartition's wall time to diag's seconds_graph and seconds_bipartition.
+    Adds the graph's wall time to diag's seconds_graph.
     """
     centred = cloud.positions - cloud.positions.mean(axis=0)
     with _stage(diag, "seconds_graph"):
         graph = build_knn_graph(centred, min(params.k, cloud.n - 1), params.sigma_p)
-    with _stage(diag, "seconds_bipartition"):
-        bp = approximate_bipartite(graph, params.delta)
-    return centred, graph, bp
+    return centred, graph
 
 
 def denoise(
@@ -438,8 +425,8 @@ def denoise(
 ) -> tuple[PointCloud, DiagnosticsReport]:
     """Denoise a cloud; returns the result plus a diagnostics report.
 
-    Builds the k-NN graph and the red/blue bipartition of the noisy input
-    once per cloud (prepare_cloud), then runs outer_max_iter red/blue ADMM
+    Builds the k-NN graph (centred_knn_graph) and the red/blue bipartition
+    of the noisy input once per cloud, then runs outer_max_iter red/blue ADMM
     passes, ending early after a pass that moved no point. Nodes without a
     valid support pair stay at their observed positions. Clouds larger than
     window_budget run their passes in overlapping spatial windows, each on
@@ -470,7 +457,9 @@ def denoise(
     diag.meta.update(cg_iterations=0, cg_steps_at_cap=0, bipartition_levels=0)
     diag.meta.update(dict.fromkeys(STAGE_KEYS, 0.0))
     t0 = time.perf_counter()
-    centred, graph, bp = prepare_cloud(cloud, params, diag)
+    centred, graph = centred_knn_graph(cloud, params, diag)
+    with _stage(diag, "seconds_bipartition"):
+        bp = approximate_bipartite(graph, params.delta)
     diag.meta.update(bipartition_levels=bp.levels, red_nodes=int(bp.red.size),
                      blue_nodes=int(bp.blue.size))
 

@@ -7,21 +7,6 @@ import numpy as np
 from .cloud import PointCloud
 
 
-def lattice_plane(nx: int, ny: int, spacing: float = 1.0) -> PointCloud:
-    """Regular nx-by-ny grid on z = 0."""
-    xs, ys = np.meshgrid(np.arange(nx) * spacing, np.arange(ny) * spacing, indexing="ij")
-    pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(nx * ny)])
-    return PointCloud(pts)
-
-
-def sample_plane(n: int, side: float = 1.0, seed: int = 0) -> PointCloud:
-    """n points uniform in [0, side]^2 on z = 0."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pts = np.zeros((n, 3))
-    pts[:, :2] = rng.uniform(0.0, side, size=(n, 2))
-    return PointCloud(pts)
-
-
 def jittered_plane(
     nx: int, ny: int, spacing: float = 1.0, jitter: float = 0.0, seed: int = 0
 ) -> PointCloud:

@@ -26,14 +26,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gtvdenoise.bipartite import RED, approximate_bipartite, induced_bipartite_graph, kld
+from gtvdenoise.bipartite import RED, approximate_bipartite
 from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
-from gtvdenoise.graph import WeightedGraph, build_knn_graph, laplacian
-from gtvdenoise.metrics import c2c, c2p
+from gtvdenoise.graph import WeightedGraph, build_knn_graph
+from gtvdenoise.metrics import evaluate
 from gtvdenoise.normals import affine_normals, estimate_normal_field
-from gtvdenoise.solver import DenoiseParams, denoise, edge_thresholds, p_update
+from gtvdenoise.solver import DenoiseParams, denoise, p_update
 from gtvdenoise.synthetic import jittered_plane, sphere_with_spacing
 
+from reference import induced_bipartite_graph, kld, laplacian
 from test_bipartite import cycle_graph, grid_graph, path_graph, removed_intra_edges
 from test_solver import (dense_reference, random_instance, random_linearizations,
                          record_admm_steps)
@@ -95,7 +96,7 @@ def test_noise_injection_distance_lands_in_analytic_band(verdict):
     t0 = time.perf_counter()
     clean = sphere_with_spacing(2000, spacing=0.4)
     noisy = add_gaussian_noise(clean, NoiseSpec(sigma=0.1, seed=2))
-    measured = [("sphere-2000", c2c(clean, noisy).symmetric)]
+    measured = [("sphere-2000", evaluate(clean, noisy).c2c_mean_dist.symmetric)]
     scan_path = os.environ.get("GTVDENOISE_SCAN")
     if scan_path:
         # optional real-scan hook, rescaled to the same density regime
@@ -103,7 +104,8 @@ def test_noise_injection_distance_lands_in_analytic_band(verdict):
         gap = float(np.mean(cKDTree(scan.positions).query(scan.positions, k=2)[0][:, 1]))
         scaled = PointCloud(scan.positions * (0.4 / gap))
         noisy_scan = add_gaussian_noise(scaled, NoiseSpec(sigma=0.1, seed=2))
-        measured.append((os.path.basename(scan_path), c2c(scaled, noisy_scan).symmetric))
+        measured.append((os.path.basename(scan_path),
+                         evaluate(scaled, noisy_scan).c2c_mean_dist.symmetric))
     seconds = time.perf_counter() - t0
     ok = seconds < 10.0 and all(0.145 <= v <= 0.160 for _, v in measured)
     detail = ", ".join(f"{name} c2c {v:.4f}" for name, v in measured)
@@ -112,8 +114,9 @@ def test_noise_injection_distance_lands_in_analytic_band(verdict):
 
 def test_denoising_improves_both_error_metrics_on_subsampled_model(verdict, improvement_run):
     r = improvement_run
-    c2c_ratio = c2c(r.dense, r.denoised).backward / c2c(r.dense, r.noisy).backward
-    c2p_ratio = c2p(r.dense, r.denoised)[0].backward / c2p(r.dense, r.noisy)[0].backward
+    denoised, noisy = evaluate(r.dense, r.denoised), evaluate(r.dense, r.noisy)
+    c2c_ratio = denoised.c2c_mean_dist.backward / noisy.c2c_mean_dist.backward
+    c2p_ratio = denoised.c2p_mean_sq.backward / noisy.c2p_mean_sq.backward
     ok = c2p_ratio <= 0.70 and c2c_ratio <= 0.90 and r.seconds < 120.0
     assert verdict(
         ok,
@@ -160,7 +163,7 @@ def test_admm_m_step_satisfies_l1_optimality(verdict, monkeypatch):
         A, b = random_linearizations(6, seed + 1000)
         _, _, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params)
         for c, tau, m in m_steps:
-            thresholds_ok &= np.array_equal(tau, edge_thresholds(graph.w, gamma / rho))
+            thresholds_ok &= np.array_equal(tau, np.repeat(gamma / rho * graph.w, 3))
             zero = m == 0
             violation = np.where(zero, np.abs(c) - tau, np.abs(c - m - tau * np.sign(m)))
             worst = max(worst, float(np.max(violation, initial=0.0)))

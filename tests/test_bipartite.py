@@ -12,10 +12,10 @@ from gtvdenoise.bipartite import (
     Bipartition,
     approximate_bipartite,
     bipartition_lines,
-    induced_bipartite_graph,
-    kld,
 )
-from gtvdenoise.graph import WeightedGraph, build_knn_graph, laplacian
+from gtvdenoise.graph import WeightedGraph, build_knn_graph
+
+from reference import induced_bipartite_graph, kld, laplacian
 
 
 def path_graph(n, w=1.0):

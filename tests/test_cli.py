@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gtvdenoise import cli, solver
 from gtvdenoise.cli import (
     EXIT_CONVERGENCE,
     EXIT_DEGENERATE,
@@ -316,6 +317,18 @@ class TestInspectCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         i, j, w = lines[0].split()
         assert int(i) < int(j) and 0 < float(w) <= 1
+
+    def test_graph_builds_no_bipartition(self, plane_file, capsys, monkeypatch):
+        assert main(["-q", "inspect", str(plane_file), "graph"]) == EXIT_OK
+        expect = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inspect graph built a bipartition")
+
+        for module in (solver, cli):
+            monkeypatch.setattr(module, "approximate_bipartite", refuse)
+        assert main(["-q", "inspect", str(plane_file), "graph"]) == EXIT_OK
+        assert capsys.readouterr().out == expect
 
     def test_bipartition_lines(self, plane_file, capsys):
         code = main(["-q", "inspect", str(plane_file), "bipartition"])

@@ -4,41 +4,24 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gtvdenoise.synthetic import (
-    fibonacci_sphere,
-    jittered_plane,
-    lattice_plane,
-    rounded_box,
-    sample_plane,
-    sphere_with_spacing,
-)
+from gtvdenoise.synthetic import fibonacci_sphere, jittered_plane, rounded_box, sphere_with_spacing
+
+
+def lattice(nx, ny, spacing):
+    """The nx-by-ny grid on z = 0, x-major: point i * ny + j at (i, j, 0) * spacing."""
+    xs, ys = np.meshgrid(np.arange(nx) * spacing, np.arange(ny) * spacing, indexing="ij")
+    return np.column_stack([xs.ravel(), ys.ravel(), np.zeros(nx * ny)])
 
 
 class TestPlanes:
-    def test_lattice_plane_layout(self):
-        cloud = lattice_plane(3, 2, spacing=0.5)
-        assert cloud.positions.shape == (6, 3)
-        assert np.all(cloud.positions[:, 2] == 0.0)
-        xs = np.unique(cloud.positions[:, 0])
-        np.testing.assert_allclose(xs, [0.0, 0.5, 1.0])
-
-    def test_sample_plane_bounds(self):
-        cloud = sample_plane(200, side=2.0, seed=1)
-        assert cloud.positions.shape == (200, 3)
-        assert np.all(cloud.positions[:, :2] >= 0.0)
-        assert np.all(cloud.positions[:, :2] <= 2.0)
-        assert np.all(cloud.positions[:, 2] == 0.0)
-
     def test_jittered_plane_zero_jitter_is_lattice(self):
         a = jittered_plane(4, 5, spacing=0.7, jitter=0.0, seed=3)
-        b = lattice_plane(4, 5, spacing=0.7)
-        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.positions, lattice(4, 5, 0.7))
 
     def test_jittered_plane_bounded_jitter(self):
         spacing, jitter = 0.7, 0.1
-        flat = lattice_plane(10, 10, spacing=spacing)
         moved = jittered_plane(10, 10, spacing=spacing, jitter=jitter, seed=8)
-        delta = np.abs(moved.positions - flat.positions)
+        delta = np.abs(moved.positions - lattice(10, 10, spacing))
         assert np.all(delta[:, :2] <= jitter * spacing)
         assert np.all(moved.positions[:, 2] == 0.0)
         assert np.any(delta[:, :2] > 0.0)
