@@ -1,15 +1,16 @@
 """Bipartite approximation of a weighted graph.
 
 A graph is interpreted as a Gauss-Markov random field with precision
-matrix L + delta*I. Nodes, ranked in BFS order, are assigned to one of
-two classes (red / blue); intra-class edges are dropped. Each assignment
-picks the class whose resulting field stays closest to the original in
-Kullback-Leibler divergence, evaluated on a local view of the graph
-around the candidate node so the cost stays bounded: the view holds the
-node and its earlier-rank nodes within VIEW_HOPS = 2 hops, and the view's
-dense weight matrix W scores each candidate class by the field of W with
-only its cross-class weights kept. The greedy starts at node 0; both the
-seed and the view are fixed.
+matrix L + DELTA*I; DELTA = 0.01 only makes it invertible. Nodes, ranked
+in BFS order, are assigned to one of two classes (red / blue);
+intra-class edges are dropped. Each assignment picks the class whose
+resulting field stays closest to the original in Kullback-Leibler
+divergence, evaluated on a local view of the graph around the candidate
+node so the cost stays bounded: the view holds the node and its
+earlier-rank nodes within VIEW_HOPS = 2 hops, and the view's dense
+weight matrix W scores each candidate class by the field of W with only
+its cross-class weights kept. The greedy starts at node 0; the seed, the
+view and DELTA are fixed.
 
 A node's score depends only on the classes of its view, so nodes fall
 into dependency levels: level 0 when the view is the node alone, else 1
@@ -40,6 +41,8 @@ TIE_RTOL = 1e-12
 
 # A candidate's view: the earlier-rank nodes within this many hops of it.
 VIEW_HOPS = 2
+
+DELTA = 0.01  # regularizer of every precision L + DELTA*I; it only makes it invertible
 
 
 @dataclass(eq=False)
@@ -117,9 +120,8 @@ def _balls(adj: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 class _LevelGreedy:
     """Working state of one bipartition run, with nodes relabelled by BFS rank."""
 
-    def __init__(self, adj: csr_matrix, order: np.ndarray, delta: float):
+    def __init__(self, adj: csr_matrix, order: np.ndarray):
         n = order.size
-        self.delta = delta
         self.adj = adj[order][:, order]
         self.adj.sort_indices()
         self.degree = np.diff(self.adj.indptr)
@@ -178,10 +180,10 @@ class _LevelGreedy:
     def divergences(self, level: np.ndarray) -> np.ndarray:
         """(2, B) divergences of assigning each level node to red / to blue.
 
-        Each view's weights W give P_o = L(W) + delta*I; candidate g gives
+        Each view's weights W give P_o = L(W) + DELTA*I; candidate g gives
         P_g = L(W masked to pairs of differing class, the node in class g)
-        + delta*I. Views are zero-padded to the level's largest one; a padded
-        row is an isolated node with delta on the diagonal and cancels out.
+        + DELTA*I. Views are zero-padded to the level's largest one; a padded
+        row is an isolated node with DELTA on the diagonal and cancels out.
         """
         n, b = self.assign.size, level.size
         starts, sizes = self.ball_start[level], self.view_count[level]
@@ -209,14 +211,14 @@ class _LevelGreedy:
             p[1 + g, at[cross]] = w[cross]
         p = p.reshape(3, b, nmax, nmax)
         # W has a zero diagonal (graphs have no self-loops)
-        diagonal = p.sum(axis=-1) + self.delta
+        diagonal = p.sum(axis=-1) + DELTA
         np.negative(p, out=p)
         i = np.arange(nmax)
         p[..., i, i] = diagonal
         return _divergences(p)
 
 
-def approximate_bipartite(graph: WeightedGraph, delta: float = 0.01) -> Bipartition:
+def approximate_bipartite(graph: WeightedGraph) -> Bipartition:
     """Greedy BFS bipartition driven by the divergence criterion.
 
     Node 0 goes to red. Every later node joins red if the blue candidate
@@ -229,8 +231,6 @@ def approximate_bipartite(graph: WeightedGraph, delta: float = 0.01) -> Bipartit
     order, which differs from plain BFS rank order only for a component
     with two or more ties. Deterministic for a fixed input.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
     n = graph.node_count
     adj = graph.adjacency
     _, labels = connected_components(adj, directed=False)
@@ -240,7 +240,7 @@ def approximate_bipartite(graph: WeightedGraph, delta: float = 0.01) -> Bipartit
     components = [breadth_first_order(adj, s, directed=True, return_predecessors=False)
                   for s in np.sort(firsts)]
     order = np.concatenate(components)
-    state = _LevelGreedy(adj, order, delta)
+    state = _LevelGreedy(adj, order)
     for root in np.cumsum([0] + [c.size for c in components[:-1]]):
         state.run_component(int(root))
 

@@ -4,8 +4,9 @@ Subcommands: noise, denoise, eval, inspect, bench.
 
 Configuration precedence is flags > config file > built-in defaults. Config
 files are flat "key = value" lines with '#' comments. Solver parameters are
-flags of denoise, inspect and bench; noise also reads sigma and seed, bench
-sigmas and seed, and both echo other keys unchanged. eval takes no config.
+flags of denoise and bench; inspect takes only k, sigma_p and collinearity_tol.
+noise also reads sigma and seed, bench sigmas and seed, and both echo other
+keys unchanged. eval takes no config.
 Every run that produces an output file also writes an effective-config echo
 next to it; re-running with that echo as the config file reproduces the
 output bit-exactly.
@@ -55,6 +56,7 @@ EXIT_DEGENERATE = 6
 log = logging.getLogger("gtvdenoise")
 
 _PARAM_FIELDS = {f.name: type(f.default) for f in dataclass_fields(DenoiseParams)}
+_INSPECT_PARAMS = ("k", "sigma_p", "collinearity_tol")  # what its graph and normals read
 
 
 def _coerce(key: str, text: str, kind: type):
@@ -88,22 +90,22 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_params(
-    config_path: str | None, args: argparse.Namespace
+    config_path: str | None, args: argparse.Namespace, names: tuple = tuple(_PARAM_FIELDS)
 ) -> tuple[DenoiseParams, dict]:
-    """Merge defaults, config file, and CLI flags into DenoiseParams.
+    """Merge defaults, config file, and CLI flags of the names into DenoiseParams.
 
-    Returns the parameters plus any config keys that are not solver
-    parameters (sigma, seed, ...) for the subcommand to interpret.
+    Returns the parameters plus the config keys outside names (sigma, seed,
+    ...) for the subcommand to interpret or ignore.
     """
     merged = {}
     extra = {}
     if config_path:
         for key, text in parse_config_file(config_path).items():
-            if key in _PARAM_FIELDS:
+            if key in names:
                 merged[key] = _coerce(key, text, _PARAM_FIELDS[key])
             else:
                 extra[key] = text
-    for key in _PARAM_FIELDS:
+    for key in names:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -214,11 +216,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    params, _ = build_params(args.config, args)
+    params, _ = build_params(args.config, args, _INSPECT_PARAMS)
     cloud = load_cloud(args.input, args.input_format)
     centred, graph = centred_knn_graph(cloud, params, DiagnosticsReport())
     # the bipartition only for the dumps that show it
-    part = None if args.what == "graph" else approximate_bipartite(graph, params.delta)
+    part = None if args.what == "graph" else approximate_bipartite(graph)
     if args.what == "graph":
         lines = edge_list_lines(graph)
     elif args.what == "bipartition":
@@ -244,7 +246,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def _bench_one(model_path: Path, spec: NoiseSpec, params: DenoiseParams,
                out_dir: Path) -> dict:
-    """Noise + denoise + evaluate one model at one noise level. Returns a result row."""
+    """Noise + denoise + evaluate (at eval's default k) one model at one noise level."""
     clean = load_cloud(str(model_path))
     noisy = add_gaussian_noise(clean, spec)
     t0 = time.perf_counter()
@@ -255,8 +257,8 @@ def _bench_one(model_path: Path, spec: NoiseSpec, params: DenoiseParams,
     save_cloud(noisy, str(out_dir / f"{tag}_noisy.xyz"))
     save_cloud(denoised, str(out_dir / f"{tag}_denoised.xyz"))
     diagnostics.save(str(out_dir / f"{tag}.diag"))
-    noisy_report = evaluate(clean, noisy, k=params.k)
-    denoised_report = evaluate(clean, denoised, k=params.k)
+    noisy_report = evaluate(clean, noisy)
+    denoised_report = evaluate(clean, denoised)
     return {
         "model": stem,
         "sigma": spec.sigma,
@@ -323,12 +325,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+def _add_param_flags(parser: argparse.ArgumentParser,
+                     names: tuple = tuple(_PARAM_FIELDS)) -> None:
     group = parser.add_argument_group("solver parameters",
                                       "override config file and defaults")
-    for name, kind in _PARAM_FIELDS.items():
-        group.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
-                           metavar=kind.__name__)
+    for name in names:
+        group.add_argument("--" + name.replace("_", "-"), type=_PARAM_FIELDS[name],
+                           default=None, metavar=_PARAM_FIELDS[name].__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node class for 'normals'")
     p.add_argument("--output", default=None, help="write here instead of stdout")
     p.add_argument("--input-format", choices=("xyz", "ply"), default=None)
-    _add_param_flags(p)
+    _add_param_flags(p, _INSPECT_PARAMS)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("bench", parents=[common],

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloud import PointCloud
 from .graph import SpatialIndex
 
 
@@ -72,10 +73,6 @@ class MetricReport:
 CSV_HEADER = "model,sigma,c2c_unsq,c2c_sq,c2p,runtime_s"
 
 
-def _positions(cloud) -> np.ndarray:
-    return np.asarray(getattr(cloud, "positions", cloud), dtype=np.float64)
-
-
 def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point unit normal from the LS plane of the point + k nearest neighbors.
 
@@ -97,9 +94,9 @@ def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]
     return normals, degenerate
 
 
-def evaluate(ground, test, k: int = 8) -> MetricReport:
+def evaluate(ground: PointCloud, test: PointCloud, k: int = 8) -> MetricReport:
     """Full metric set between a reference and a test cloud; one match per direction."""
-    a, b = _positions(ground), _positions(test)
+    a, b = ground.positions, test.positions
     c2c_dist, c2c_sq, c2p_sq = [], [], []
     degenerate_total = 0
     for src, dst in ((a, SpatialIndex(b)), (b, SpatialIndex(a))):  # ground->test first

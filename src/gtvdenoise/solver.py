@@ -67,7 +67,6 @@ class DenoiseParams:
     rho: float = 5.0             # ADMM penalty
     sigma_p: float = 1.5         # Gaussian kernel bandwidth for edge weights
     k: int = 8                   # neighbors per node in k-NN graphs
-    delta: float = 0.01          # GMRF regularization for the bipartition
     admm_tol: float = 1e-5
     admm_max_iter: int = 100
     outer_max_iter: int = 2      # red/blue passes; 2 beat 10 at these defaults
@@ -84,7 +83,7 @@ class DenoiseParams:
         for name in ("gamma", "collinearity_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in ("rho", "sigma_p", "delta", "admm_tol"):
+        for name in ("rho", "sigma_p", "admm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("k", "admm_max_iter", "outer_max_iter", "window_budget"):
@@ -459,7 +458,7 @@ def denoise(
     t0 = time.perf_counter()
     centred, graph = centred_knn_graph(cloud, params, diag)
     with _stage(diag, "seconds_bipartition"):
-        bp = approximate_bipartite(graph, params.delta)
+        bp = approximate_bipartite(graph)
     diag.meta.update(bipartition_levels=bp.levels, red_nodes=int(bp.red.size),
                      blue_nodes=int(bp.blue.size))
 

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gtvdenoise.bipartite import RED, approximate_bipartite
+from gtvdenoise.bipartite import DELTA, RED, approximate_bipartite
 from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
 from gtvdenoise.graph import WeightedGraph, build_knn_graph
 from gtvdenoise.metrics import evaluate
@@ -131,7 +131,7 @@ def test_flat_cloud_flattens_and_normals_realign(verdict, planar_run):
     rms = lambda cloud: float(np.sqrt(np.mean(cloud.positions[:, 2] ** 2)))
     ratio = rms(r.denoised) / rms(r.noisy)
     graph = build_knn_graph(r.denoised.positions, k=r.params.k, sigma_p=r.params.sigma_p)
-    assign = approximate_bipartite(graph, r.params.delta).assignment
+    assign = approximate_bipartite(graph).assignment
     # measurement uses a stricter conditioning cutoff than the solver:
     # near-sliver support triples the solver tolerated would turn leftover
     # jitter into wildly tilted normals and say nothing about alignment
@@ -225,22 +225,21 @@ def test_normal_linear_form_reproduces_cross_product(verdict):
 
 
 def test_two_coloring_recovery_and_divergence_sanity(verdict):
-    delta = 0.01
     recovery_klds = []
     zero_removed = True
     observed = []
     for graph in (path_graph(6), path_graph(11), cycle_graph(8), cycle_graph(12),
                   grid_graph(4, 5)):
-        bp = approximate_bipartite(graph, delta)
+        bp = approximate_bipartite(graph)
         zero_removed &= removed_intra_edges(graph, bp) == 0
-        final = kld(laplacian(graph), laplacian(induced_bipartite_graph(graph, bp)), delta)
+        final = kld(laplacian(graph), laplacian(induced_bipartite_graph(graph, bp)), DELTA)
         recovery_klds.append(final)
         # every scored decision; the seed, first, is not scored
         observed.extend(bp.d_red[1:].tolist() + bp.d_blue[1:].tolist())
     triangle = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
-    one_removed = removed_intra_edges(triangle, approximate_bipartite(triangle, delta)) == 1
+    one_removed = removed_intra_edges(triangle, approximate_bipartite(triangle)) == 1
     L = laplacian(path_graph(5))
-    self_kld = kld(L, L, delta)
+    self_kld = kld(L, L, DELTA)
     observed.extend(recovery_klds)
     observed.append(self_kld)
     ok = (

@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components, shor
 from gtvdenoise.bipartite import (
     BLUE,
     RED,
+    DELTA,
     TIE_RTOL,
     VIEW_HOPS,
     Bipartition,
@@ -45,7 +46,7 @@ def removed_intra_edges(graph, bp):
     return int(np.sum(bp.assignment[graph.ei] == bp.assignment[graph.ej]))
 
 
-def sequential_greedy(graph, delta=0.01):
+def sequential_greedy(graph):
     """One node at a time in BFS rank order from node 0, each scored with kld on its view.
 
     The view is every assigned node within VIEW_HOPS of the node, plus the
@@ -71,7 +72,7 @@ def sequential_greedy(graph, delta=0.01):
             for g in (RED, BLUE):
                 cls = assign[view].copy()
                 cls[view == c] = g
-                d.append(kld(lap(w), lap(w * (cls[:, None] != cls[None, :])), delta))
+                d.append(kld(lap(w), lap(w * (cls[:, None] != cls[None, :])), DELTA))
             if abs(d[BLUE] - d[RED]) <= TIE_RTOL * max(1.0, abs(d[RED])):
                 g, tie_next = tie_next, 1 - tie_next
                 if np.sum(assign >= 0) == n - 1 and np.all(assign[assign >= 0] == g):
@@ -157,11 +158,11 @@ class TestGreedyOnBipartiteGraphs:
         ids=["path6", "path11", "cycle8", "cycle12", "grid4x5"],
     )
     def test_zero_removed_edges_and_zero_kld(self, graph):
-        bp = approximate_bipartite(graph, delta=0.01)
+        bp = approximate_bipartite(graph)
         assert removed_intra_edges(graph, bp) == 0
         L = laplacian(graph)
         Lb = laplacian(induced_bipartite_graph(graph, bp))
-        assert kld(L, Lb, 0.01) <= 1e-9
+        assert kld(L, Lb, DELTA) <= 1e-9
 
     def test_proper_two_coloring(self):
         g = grid_graph(3, 4)
@@ -223,8 +224,7 @@ class TestGreedyGeneral:
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
         assert connected_components(g.adjacency)[0] == clusters
         hops = shortest_path(g.adjacency, unweighted=True)
-        delta = 0.01
-        bp = approximate_bipartite(g, delta=delta)
+        bp = approximate_bipartite(g)
         assert sorted(bp.order) == list(range(g.node_count))
         assign = np.full(g.node_count, -1)
         for t, node in enumerate(bp.order):
@@ -241,7 +241,7 @@ class TestGreedyGeneral:
                     cls[view == node] = g_c
                     cross = cls[ei] != cls[ej]
                     l_bip = laplacian(WeightedGraph(view.size, ei[cross], ej[cross], w[cross]))
-                    assert d == pytest.approx(kld(l_orig, l_bip, delta), rel=1e-10, abs=1e-10)
+                    assert d == pytest.approx(kld(l_orig, l_bip, DELTA), rel=1e-10, abs=1e-10)
             assign[node] = bp.assignment[node]
 
     @pytest.mark.parametrize("seed,k", [(0, 4), (1, 5), (2, 6), (3, 8), (4, 7), (5, 4)])
@@ -282,11 +282,6 @@ class TestGreedyGeneral:
             forced = bp.assignment[bp.order] != alternation
             assert forced.tolist() == [False, n == 2] + [False] * (n - 2)
             np.testing.assert_array_equal(bp.assignment, sequential_greedy(g))
-
-    def test_bad_arguments_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            approximate_bipartite(g, delta=0.0)
 
 
 class TestInducedSubgraph:

@@ -71,7 +71,7 @@ class TestConfigParsing:
     # These keys were solver parameters. None is a field or a flag any more;
     # older echoes that set them still load, and echo them back.
     REMOVED = ("t", "prox_tol", "prox_max_iter", "cg_tol", "cg_max_iter", "outer_tol",
-               "recompute_bipartition", "start_node", "view_hops")
+               "recompute_bipartition", "start_node", "view_hops", "delta")
 
     def test_unknown_keys_returned_as_extra(self, tmp_path):
         cfg = tmp_path / "old.cfg"
@@ -85,7 +85,7 @@ class TestConfigParsing:
 
     def test_no_removed_knobs(self, capsys):
         solver_fields = [f.name for f in fields(DenoiseParams)]
-        assert len(solver_fields) == 10
+        assert len(solver_fields) == 9
         helps = {}
         for command in ("noise", "denoise", "inspect", "bench"):
             with pytest.raises(SystemExit):
@@ -95,10 +95,13 @@ class TestConfigParsing:
         def offers(text, key):
             return re.search("--" + key.replace("_", "-") + r"(?![\w-])", text) is not None
 
-        for command, text in helps.items():
-            # the solver flags belong to the subcommands that run a solver
-            assert [offers(text, name) for name in solver_fields] == \
-                [command != "noise"] * len(solver_fields), command
+        # each subcommand offers the solver flags it reads
+        takes = {"noise": set(), "inspect": {"k", "sigma_p", "collinearity_tol"}}
+        offered = {command: {name for name in solver_fields if offers(text, name)}
+                   for command, text in helps.items()}
+        for command in helps:
+            assert offered[command] == takes.get(command, set(solver_fields)), command
+        assert sum(len(names) for names in offered.values()) == 21
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         older = readme.split("older echoes", 1)[1].split(".", 1)[0]
         for key in self.REMOVED:
@@ -363,6 +366,23 @@ class TestInspectCommand:
         np.testing.assert_array_equal(near[:, [0, 4, 5, 6]], far[:, [0, 4, 5, 6]])
         np.testing.assert_allclose(far[:, 1:4], near[:, 1:4], rtol=0, atol=1e-8)
 
+    def test_reads_only_its_settings_from_a_config(self, plane_file, tmp_path, capsys):
+        # a run config shared with denoise may hold keys inspect never reads
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = -5\nrho = 0\n")
+        for what in ("bipartition", "normals"):
+            assert main(["-q", "inspect", str(plane_file), what]) == EXIT_OK
+            expect = capsys.readouterr().out
+            assert main(["-q", "inspect", str(plane_file), what,
+                         "--config", str(cfg)]) == EXIT_OK
+            assert capsys.readouterr().out == expect
+        # and still reads its own
+        assert main(["-q", "inspect", str(plane_file), "graph"]) == EXIT_OK
+        expect = capsys.readouterr().out
+        cfg.write_text("gamma = -5\nk = 4\n")
+        assert main(["-q", "inspect", str(plane_file), "graph", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out != expect
+
     def test_cloud_with_at_most_k_points(self, plane_file, tmp_path, capsys):
         path = tmp_path / "six.xyz"
         save_cloud(PointCloud(load_cloud(str(plane_file)).positions[[0, 1, 2, 8, 9, 17]]),
@@ -401,6 +421,19 @@ class TestBenchCommand:
                      str(first / "bench.config"), "--output-dir", str(second)]) == EXIT_OK
         assert (first / "bench.csv").read_bytes() == (second / "bench.csv").read_bytes()
         assert (second / "bench.csv").read_text().splitlines()[1].startswith("plane,0.3,1,")
+
+    def test_scores_do_not_depend_on_the_solver_k(self, plane_file, tmp_path):
+        # the noisy cloud is scored with eval's neighbourhood, whatever the graph's k
+        noisy_columns = []
+        for k in ("4", "8"):
+            out = tmp_path / f"k{k}"
+            assert main(["-q", "bench", str(plane_file.parent), "--sigmas", "0.05",
+                         "--output-dir", str(out), "--outer-max-iter", "1",
+                         "--admm-max-iter", "30", "--collinearity-tol", "0.05",
+                         "--k", k]) == EXIT_OK
+            row = (out / "bench.csv").read_text().splitlines()[1].split(",")
+            noisy_columns.append((row[3], row[5]))  # c2c_noisy, c2p_noisy
+        assert noisy_columns[0] == noisy_columns[1]
 
     def test_empty_model_dir_usage_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -450,7 +483,7 @@ class TestExitCodes:
         assert len(errors) == 1 and "non-finite" in errors[0].getMessage()
 
     @pytest.mark.parametrize("flag", [
-        ["--rho", "nan"], ["--gamma", "nan"], ["--delta", "nan"], ["--admm-tol", "nan"],
+        ["--rho", "nan"], ["--gamma", "nan"], ["--admm-tol", "nan"],
         ["--sigma-p", "inf"], ["--collinearity-tol", "-1"],
     ], ids=" ".join)
     def test_out_of_range_parameters_usage(self, plane_file, tmp_path, caplog, flag):

@@ -10,14 +10,14 @@ from gtvdenoise.metrics import CSV_HEADER, DirectedMetric, evaluate
 class TestC2C:
     def test_identical_clouds_zero(self):
         pts = np.random.default_rng(0).normal(size=(30, 3))
-        m = evaluate(pts, pts).c2c_mean_dist
+        m = evaluate(PointCloud(pts), PointCloud(pts)).c2c_mean_dist
         assert m.forward == 0.0 and m.backward == 0.0 and m.symmetric == 0.0
 
     def test_known_shift(self):
         # two points each, uniform shift of 0.5 along x, partners unique
         a = np.array([[0, 0, 0], [10, 0, 0.0]])
         b = a + [0.5, 0, 0]
-        m = evaluate(a, b).c2c_mean_dist
+        m = evaluate(PointCloud(a), PointCloud(b)).c2c_mean_dist
         assert m.forward == pytest.approx(0.5)
         assert m.backward == pytest.approx(0.5)
         assert m.symmetric == pytest.approx(0.5)
@@ -25,7 +25,7 @@ class TestC2C:
     def test_squared_variant(self):
         a = np.array([[0, 0, 0], [10, 0, 0.0]])
         b = a + [0.5, 0, 0]
-        m = evaluate(a, b).c2c_mean_sq
+        m = evaluate(PointCloud(a), PointCloud(b)).c2c_mean_sq
         assert m.symmetric == pytest.approx(0.25)
 
     def test_asymmetry_visible_per_direction(self):
@@ -33,7 +33,7 @@ class TestC2C:
         # ground->test barely changes
         a = np.random.default_rng(1).normal(size=(50, 3))
         b = np.vstack([a, [100.0, 0, 0]])
-        m = evaluate(a, b).c2c_mean_dist
+        m = evaluate(PointCloud(a), PointCloud(b)).c2c_mean_dist
         assert m.forward == pytest.approx(0.0, abs=1e-12)
         assert m.backward > 1.0
 
@@ -46,7 +46,7 @@ class TestC2C:
 class TestC2P:
     def test_identical_clouds_zero(self):
         pts = np.random.default_rng(3).normal(size=(40, 3))
-        report = evaluate(pts, pts)
+        report = evaluate(PointCloud(pts), PointCloud(pts))
         assert report.c2p_mean_sq.symmetric == pytest.approx(0.0, abs=1e-20)
         assert report.degenerate_planes == 0
 
@@ -56,7 +56,7 @@ class TestC2P:
         xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
         a = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(400)])
         b = a + [0.3, 0.2, 0.0]
-        report = evaluate(a, b)
+        report = evaluate(PointCloud(a), PointCloud(b))
         assert report.c2p_mean_sq.symmetric == pytest.approx(0.0, abs=1e-12)
         assert report.c2c_mean_dist.symmetric > 0.1
 
@@ -64,14 +64,14 @@ class TestC2P:
         xs, ys = np.meshgrid(np.arange(20.0), np.arange(20.0), indexing="ij")
         a = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(400)])
         b = a + [0.0, 0.0, 0.25]
-        m = evaluate(a, b).c2p_mean_sq
+        m = evaluate(PointCloud(a), PointCloud(b)).c2p_mean_sq
         assert m.symmetric == pytest.approx(0.25**2, rel=1e-6)
 
     def test_never_exceeds_point_distance(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(60, 3))
         b = rng.normal(size=(60, 3))
-        report = evaluate(a, b)
+        report = evaluate(PointCloud(a), PointCloud(b))
         mp, mc = report.c2p_mean_sq, report.c2c_mean_sq
         assert mp.forward <= mc.forward + 1e-12
         assert mp.backward <= mc.backward + 1e-12
@@ -87,7 +87,7 @@ class TestC2P:
             rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             a = patch @ rot.T
             b = a + 1e4 * rot[:, 2] + 1e-3 * rng.normal(size=a.shape)
-            report = evaluate(a, b)
+            report = evaluate(PointCloud(a), PointCloud(b))
             assert report.degenerate_planes == 0
             assert report.c2p_mean_sq.symmetric == pytest.approx(1e8, rel=1e-6)
 
@@ -95,7 +95,7 @@ class TestC2P:
         # every dst point identical: no plane, falls back to point distance
         a = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0], [1, 1, 1.0]])
         b = np.zeros((4, 3))
-        report = evaluate(a, b)
+        report = evaluate(PointCloud(a), PointCloud(b))
         assert report.degenerate_planes > 0
         expected_fwd = float(np.mean(np.linalg.norm(a, axis=1) ** 2))
         assert report.c2p_mean_sq.forward == pytest.approx(expected_fwd)
@@ -108,7 +108,7 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(50, 3))
         b = a + rng.normal(scale=0.05, size=(50, 3))
-        report = evaluate(a, b)
+        report = evaluate(PointCloud(a), PointCloud(b))
         dist, sq, plane = [], [], []
         for src, dst in ((a, b), (b, a)):
             idx = np.argmin(np.linalg.norm(src[:, None] - dst[None], axis=2), axis=1)
@@ -130,7 +130,7 @@ class TestEvaluate:
     def test_table_and_csv_layout(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(20, 3))
-        report = evaluate(a, a + 0.01)
+        report = evaluate(PointCloud(a), PointCloud(a + 0.01))
         table = report.to_table()
         assert "ground->test" in table and "c2p mean squared" in table
         row = report.csv_row("bunny", 0.1, 1.234)

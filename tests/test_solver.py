@@ -87,7 +87,7 @@ class TestDenoiseParams:
                             ("admm_max_iter", 10.5), ("window_budget", 30.5)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 DenoiseParams(**{name: value})
-        for name in ("gamma", "rho", "sigma_p", "delta", "admm_tol", "collinearity_tol"):
+        for name in ("gamma", "rho", "sigma_p", "admm_tol", "collinearity_tol"):
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     DenoiseParams(**{name: value})
@@ -736,7 +736,7 @@ class TestDenoiseEndToEnd:
         (core, members), = _window_layout(pts, graph.adjacency, params)
         np.testing.assert_array_equal(core, np.arange(noisy.n))
         np.testing.assert_array_equal(members, np.arange(noisy.n))
-        bp = approximate_bipartite(graph, params.delta)
+        bp = approximate_bipartite(graph)
         direct = _denoise_core(pts, graph, bp.assignment, params, DiagnosticsReport(),
                                label_prefix="")
         np.testing.assert_array_equal(out.positions, noisy.positions + (direct - pts))
@@ -758,8 +758,8 @@ class TestDenoiseEndToEnd:
             graph_sizes.append(len(points))
             return build_knn_graph(points, k, sigma_p)
 
-        def bipartition_spy(graph, delta, **kwargs):
-            bp = approximate_bipartite(graph, delta, **kwargs)
+        def bipartition_spy(graph, **kwargs):
+            bp = approximate_bipartite(graph, **kwargs)
             bipartitions.append((graph.node_count, kwargs, bp.assignment[0]))
             return bp
 
