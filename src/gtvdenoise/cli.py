@@ -11,7 +11,7 @@ Every run that produces an output file also writes an effective-config echo
 next to it; re-running with that echo as the config file reproduces the
 output bit-exactly.
 
-Exit codes:
+Exit codes (2, 4, 5 and 6 are the exit_code attributes of the error classes):
   0  success
   1  benchmark completed with at least one failed model
   2  usage or configuration error
@@ -32,26 +32,15 @@ from pathlib import Path
 
 from .bipartite import BLUE, RED, approximate_bipartite, bipartition_lines
 from .cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
-from .errors import (
-    AdmmDivergenceError,
-    CloudFormatError,
-    ConfigError,
-    DegenerateCloudError,
-    GtvDenoiseError,
-    UsageError,
-)
+from .errors import ConfigError, GtvDenoiseError, UsageError
 from .graph import edge_list_lines
-from .metrics import CSV_HEADER, evaluate
+from .metrics import BENCH_CSV_HEADER, CSV_HEADER, evaluate
 from .normals import estimate_normal_field, normal_field_lines
 from .solver import STAGE_KEYS, DenoiseParams, DiagnosticsReport, centred_knn_graph, denoise
 
 EXIT_OK = 0
 EXIT_BENCH_PARTIAL = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_PARSE = 4
-EXIT_CONVERGENCE = 5
-EXIT_DEGENERATE = 6
 
 log = logging.getLogger("gtvdenoise")
 
@@ -175,9 +164,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     diagnostics.save(diag_path)
     _write_echo(Path(args.output + ".config"), {**params.as_dict(), **extra})
     if "windows" in diagnostics.meta:
-        log.info("solved in %d windows (%d over window_budget), %.2f solves per point",
-                 diagnostics.meta["windows"], diagnostics.meta["windows_oversized"],
+        log.info("solved in %d windows, %.2f solves per point", diagnostics.meta["windows"],
                  diagnostics.meta["window_points"] / cloud.n)
+        oversized = diagnostics.meta["windows_oversized"]
+        if oversized:
+            log.warning("%d of %d windows exceed window_budget=%d and were solved "
+                        "oversized", oversized, diagnostics.meta["windows"],
+                        params.window_budget)
     skipped = diagnostics.meta.get("no_support_pair_events", 0)
     if skipped:
         log.warning("%d node passes had no valid support pair and kept their "
@@ -307,10 +300,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{r['c2c_denoised']:>13.6f} {r['c2p_noisy']:>12.6f} "
               f"{r['c2p_denoised']:>13.6f} {r['runtime_s']:>8.2f}")
 
-    # Runtime is excluded from the CSV so identical seeds give identical bytes.
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("model,sigma,seed,c2c_noisy,c2c_denoised,c2p_noisy,c2p_denoised\n")
+        fh.write(BENCH_CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r['model']},{r['sigma']:g},{r['seed']},"
                      f"{r['c2c_noisy']:.9e},{r['c2c_denoised']:.9e},"
@@ -339,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gtvdenoise",
         description="Point cloud denoising by graph-total-variation "
                     "regularization of surface normals.",
-        epilog="eval CSV schema: " + CSV_HEADER + ". bench CSV schema: "
-               "model,sigma,seed,c2c_noisy,c2c_denoised,c2p_noisy,c2p_denoised "
+        epilog=f"eval CSV schema: {CSV_HEADER}. bench CSV schema: {BENCH_CSV_HEADER} "
                "(runtime excluded so reruns are byte-identical).",
     )
     parser.add_argument("-v", "--verbose", action="count", default=0,
@@ -416,21 +407,9 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (UsageError, ConfigError) as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except CloudFormatError as exc:
-        log.error("%s", exc)
-        return EXIT_PARSE
-    except AdmmDivergenceError as exc:
-        log.error("%s", exc)
-        return EXIT_CONVERGENCE
-    except DegenerateCloudError as exc:
-        log.error("%s", exc)
-        return EXIT_DEGENERATE
     except GtvDenoiseError as exc:
         log.error("%s", exc)
-        return EXIT_USAGE
+        return exc.exit_code
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO

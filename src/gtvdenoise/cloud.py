@@ -236,14 +236,7 @@ def _read_ply(fh, path: str) -> PointCloud:
                         f"vertex row has {len(tokens)} values, header declares {len(e_props)}",
                         path=path, line=lineno,
                     )
-                try:
-                    points[got, 0] = float(tokens[columns["x"]])
-                    points[got, 1] = float(tokens[columns["y"]])
-                    points[got, 2] = float(tokens[columns["z"]])
-                except ValueError:
-                    raise CloudFormatError(
-                        "non-numeric vertex coordinate", path=path, line=lineno
-                    ) from None
+                points[got] = _parse_triple([tokens[columns[c]] for c in "xyz"], path, lineno)
                 got += 1
         else:
             # Skip other elements (faces, edges, ...) one line per entry.
@@ -251,8 +244,6 @@ def _read_ply(fh, path: str) -> PointCloud:
                 if not fh.readline():
                     break
                 lineno += 1
-    if not np.all(np.isfinite(points)):
-        raise CloudFormatError("non-finite vertex coordinate", path=path, line=None)
     return PointCloud(points)
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these classes onto distinct exit codes, so keep the
-granularity: parse problems, degenerate geometry, solver divergence.
+Each class carries the exit code the CLI returns for it, as its exit_code
+class attribute: a usage, configuration or other package error 2, a parse
+problem 4, solver divergence 5 and degenerate geometry 6. The CLI's own
+codes are 0 (success), 1 (bench with failed models) and 3 (I/O failure).
 """
 
 from __future__ import annotations
@@ -10,9 +12,13 @@ from __future__ import annotations
 class GtvDenoiseError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 2
+
 
 class CloudFormatError(GtvDenoiseError):
     """Malformed cloud file (bad header, non-numeric coordinate, ...)."""
+
+    exit_code = 4
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
@@ -36,6 +42,8 @@ class UsageError(GtvDenoiseError):
 class DegenerateCloudError(GtvDenoiseError):
     """Cloud unusable for the requested operation (too few / coincident points)."""
 
+    exit_code = 6
+
 
 class MissingLinearizationError(GtvDenoiseError):
     """A graph node has no normal linearization attached."""
@@ -47,3 +55,5 @@ class MissingLinearizationError(GtvDenoiseError):
 
 class AdmmDivergenceError(GtvDenoiseError):
     """ADMM primal residual grew persistently instead of shrinking."""
+
+    exit_code = 5

@@ -6,13 +6,12 @@ Neighbor queries are exact (kd-tree with full backtracking) and distance
 ties are broken by the smaller point index, which makes the graph
 independent of point insertion order.
 
-knn_adjacency builds the union-symmetrized k-NN pattern of build_knn_graph,
-which makes both the cloud's graph and each pass's class graph. A WeightedGraph
-keeps its edges as canonical arrays plus a cached symmetric CSR
-adjacency, which callers slice by row, walk for the window layout or hand
-to scipy.sparse.csgraph; subgraph restricts it to one window's points.
-edge_weight is the kernel build_knn_graph applies to every edge, and
-edge_list_lines is the inspect dump of a graph.
+build_knn_graph is the one graph builder: it makes the union-symmetrized
+k-NN pattern and its kernel weights, for the cloud's graph and for each
+pass's class graph. A WeightedGraph keeps its edges as canonical arrays
+plus a cached symmetric CSR adjacency, which callers slice by row, walk
+for the window layout or hand to scipy.sparse.csgraph; subgraph restricts
+it to one window's points. edge_list_lines is the inspect dump of a graph.
 """
 
 from __future__ import annotations
@@ -88,17 +87,6 @@ class SpatialIndex:
         return self.query_knn(targets, 1)[:, 0]
 
 
-def edge_weight(p_i: np.ndarray, p_j: np.ndarray, sigma_p: float) -> np.ndarray:
-    """Gaussian kernel weight exp(-||p_i - p_j||^2 / sigma_p^2) over the last axis.
-
-    Identical points give 1.
-    """
-    if sigma_p <= 0:
-        raise ValueError(f"sigma_p must be > 0, got {sigma_p}")
-    diff = np.asarray(p_i, dtype=np.float64) - np.asarray(p_j, dtype=np.float64)
-    return np.exp(-np.sum(diff * diff, axis=-1) / (sigma_p * sigma_p))
-
-
 @dataclass(eq=False)
 class WeightedGraph:
     """Undirected weighted graph, canonical edge storage.
@@ -166,23 +154,6 @@ class WeightedGraph:
         return adj
 
 
-def knn_adjacency(points: np.ndarray, k: int) -> csr_matrix:
-    """Union-symmetrized k-NN pattern: CSR with sorted indices and unit entries.
-
-    Entry (i, j) is stored when i is among j's k nearest neighbors or j is
-    among i's (exact, ties by smaller index); the diagonal is empty.
-    """
-    n = points.shape[0]
-    idx = SpatialIndex(points).query_knn(points, k, exclude_self=True).ravel()
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    adj = csr_matrix((np.ones(2 * idx.size), (np.concatenate([src, idx]),
-                                                np.concatenate([idx, src]))),
-                     shape=(n, n))
-    adj.sum_duplicates()
-    adj.data[:] = 1.0
-    return adj
-
-
 def build_knn_graph(points: np.ndarray, k: int, sigma_p: float) -> WeightedGraph:
     """Symmetrized (union) k-NN graph with Gaussian kernel weights on (N, 3) points.
 
@@ -201,13 +172,15 @@ def build_knn_graph(points: np.ndarray, k: int, sigma_p: float) -> WeightedGraph
     if np.all(points == points[0]):
         raise DegenerateCloudError("all points coincide; k-NN graph undefined")
 
-    adj = knn_adjacency(points, k)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
-    upper = rows < adj.indices
-    ei, ej = rows[upper], adj.indices[upper].astype(np.int64)
+    idx = SpatialIndex(points).query_knn(points, k, exclude_self=True).ravel()
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    # each selected pair once, as i < j, in (i, j) order
+    ei, ej = np.divmod(np.unique(np.minimum(src, idx) * n + np.maximum(src, idx)), n)
+    diff = points[ei] - points[ej]
     # Neighbours more than ~27 sigma_p apart underflow to weight 0; keep such
     # an edge at the smallest positive weight so the graph stays valid.
-    w = np.maximum(edge_weight(points[ei], points[ej], sigma_p), np.finfo(np.float64).tiny)
+    w = np.maximum(np.exp(-np.sum(diff * diff, axis=-1) / (sigma_p * sigma_p)),
+                   np.finfo(np.float64).tiny)
     return WeightedGraph(n, ei, ej, w)
 
 

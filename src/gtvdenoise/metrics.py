@@ -71,6 +71,8 @@ class MetricReport:
 
 
 CSV_HEADER = "model,sigma,c2c_unsq,c2c_sq,c2p,runtime_s"
+# bench's CSV leaves runtime out, so that reruns are byte-identical
+BENCH_CSV_HEADER = "model,sigma,seed,c2c_noisy,c2c_denoised,c2p_noisy,c2p_denoised"
 
 
 def _plane_normals(index: SpatialIndex, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,6 @@ own k-NN graph, which also orients the normals, from its own.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -444,7 +443,9 @@ def denoise(
     time the cloud's graph and bipartition; seconds_normals (support pairs,
     class graph and orientation) and seconds_admm sum each stage over passes
     and windows. bipartition_levels counts the bipartition's dependency levels,
-    and red_nodes and blue_nodes its class sizes.
+    and red_nodes and blue_nodes its class sizes. A windowed run records
+    windows, window_points (their summed sizes) and windows_oversized, the
+    windows solved above window_budget.
     """
     if params is None:
         params = DenoiseParams()
@@ -464,16 +465,10 @@ def denoise(
 
     windows = _window_layout(centred, graph.adjacency, params)
     if len(windows) > 1:
-        oversized = sum(members.size > params.window_budget for _, members in windows)
-        if oversized:
-            warnings.warn(
-                f"{oversized} of {len(windows)} windows exceed window_budget="
-                f"{params.window_budget}; solving oversized windows",
-                stacklevel=2,
-            )
         diag.meta["windows"] = len(windows)
         diag.meta["window_points"] = int(sum(members.size for _, members in windows))
-        diag.meta["windows_oversized"] = oversized
+        diag.meta["windows_oversized"] = sum(members.size > params.window_budget
+                                             for _, members in windows)
     solved = np.empty_like(centred)
     for w_idx, (core, members) in enumerate(windows):
         prefix = f"w{w_idx}:" if len(windows) > 1 else ""

@@ -11,19 +11,23 @@ import pytest
 
 from gtvdenoise import cli, solver
 from gtvdenoise.cli import (
-    EXIT_CONVERGENCE,
-    EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_OK,
-    EXIT_PARSE,
-    EXIT_USAGE,
     build_params,
     effective_config_text,
     main,
     parse_config_file,
 )
 from gtvdenoise.cloud import NoiseSpec, PointCloud, add_gaussian_noise, load_cloud, save_cloud
-from gtvdenoise.errors import ConfigError
+from gtvdenoise.errors import (
+    AdmmDivergenceError,
+    CloudFormatError,
+    ConfigError,
+    DegenerateCloudError,
+    GtvDenoiseError,
+    MissingLinearizationError,
+    UsageError,
+)
 from gtvdenoise.solver import DenoiseParams
 from gtvdenoise.synthetic import sphere_with_spacing
 
@@ -147,7 +151,7 @@ class TestNoiseCommand:
 
     def test_sigma_required(self, plane_file, tmp_path):
         code = main(["-q", "noise", str(plane_file), str(tmp_path / "o.xyz")])
-        assert code == EXIT_USAGE
+        assert code == UsageError.exit_code
 
     def test_achieved_std(self, plane_file, tmp_path):
         out = tmp_path / "noisy.xyz"
@@ -204,17 +208,24 @@ class TestDenoiseCommand:
     def test_windowed_run_logs_window_count_and_redundancy(self, plane_file, tmp_path,
                                                            caplog):
         caplog.set_level(logging.INFO, logger="gtvdenoise")
-        with pytest.warns(UserWarning, match="oversized windows"):
-            code = main(["denoise", str(plane_file), str(tmp_path / "w.xyz"),
-                         "--window-budget", "50", "--outer-max-iter", "1",
-                         "--admm-max-iter", "20", "--collinearity-tol", "0.05"])
+        code = main(["denoise", str(plane_file), str(tmp_path / "w.xyz"),
+                     "--window-budget", "50", "--outer-max-iter", "1",
+                     "--admm-max-iter", "20", "--collinearity-tol", "0.05"])
         assert code == EXIT_OK
-        lines = [r.getMessage() for r in caplog.records if "windows" in r.getMessage()]
-        assert len(lines) == 1
+        info = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.INFO and "windows" in r.getMessage()]
+        assert len(info) == 1
         meta = (tmp_path / "w.xyz.diag").read_text()
         windows = int(meta.split("\nwindows: ")[1].split("\n")[0])
-        assert lines[0].startswith(f"solved in {windows} windows")
-        assert "solves per point" in lines[0]
+        assert info[0].startswith(f"solved in {windows} windows")
+        assert "solves per point" in info[0]
+        # the oversized windows leave through the .diag and one WARNING line
+        oversized = int(meta.split("\nwindows_oversized: ")[1].split("\n")[0])
+        assert oversized > 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING
+                    and "window" in r.getMessage()]
+        assert warnings == [f"{oversized} of {windows} windows exceed window_budget=50 "
+                            "and were solved oversized"]
 
     def test_passes_stopped_at_the_cap_are_counted_and_warned(self, plane_file,
                                                               tmp_path, caplog):
@@ -276,7 +287,7 @@ class TestDenoiseCommand:
         path = tmp_path / "tiny.xyz"
         path.write_text("0 0 0\n1 0 0\n0 1 0\n")
         code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz")])
-        assert code == EXIT_DEGENERATE
+        assert code == DegenerateCloudError.exit_code
 
 
 class TestEvalCommand:
@@ -303,12 +314,12 @@ class TestEvalCommand:
         with pytest.raises(SystemExit) as exc:
             main(["-q", "eval", str(plane_file), str(plane_file),
                   "--config", str(tmp_path / "absent.cfg")])
-        assert exc.value.code == EXIT_USAGE
+        assert exc.value.code == UsageError.exit_code
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_usage(self, plane_file, capsys, caplog, k):
         code = main(["-q", "eval", str(plane_file), str(plane_file), "--k", k])
-        assert code == EXIT_USAGE
+        assert code == UsageError.exit_code
         assert capsys.readouterr().out == ""
         assert [r.levelno for r in caplog.records] == [logging.ERROR]
 
@@ -439,7 +450,7 @@ class TestBenchCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         code = main(["-q", "bench", str(empty)])
-        assert code == EXIT_USAGE
+        assert code == UsageError.exit_code
 
 
 class TestExitCodes:
@@ -452,13 +463,29 @@ class TestExitCodes:
         bad = tmp_path / "bad.xyz"
         bad.write_text("1 2 3\nnot numbers here\n")
         code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
-        assert code == EXIT_PARSE
+        assert code == CloudFormatError.exit_code
 
     def test_malformed_ply_header_exits_with_parse_code(self, tmp_path):
         bad = tmp_path / "bad.ply"
         bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\nend_header\n")
         code = main(["-q", "denoise", str(bad), str(tmp_path / "o.xyz")])
-        assert code == EXIT_PARSE
+        assert code == CloudFormatError.exit_code
+
+    @pytest.mark.parametrize("error, code", [
+        (GtvDenoiseError("failed"), 2), (UsageError("bad arguments"), 2),
+        (ConfigError("bad value"), 2), (MissingLinearizationError(3), 2),
+        (CloudFormatError("bad file"), 4), (AdmmDivergenceError("diverged"), 5),
+        (DegenerateCloudError("too few points"), 6),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value))
+    def test_each_error_class_exits_with_its_documented_code(self, plane_file, tmp_path,
+                                                             caplog, monkeypatch, error, code):
+        def failing_load(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "load_cloud", failing_load)
+        assert main(["-q", "denoise", str(plane_file), str(tmp_path / "o.xyz")]) == code
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.ERROR, str(error))]
 
     def test_solver_divergence_exits_with_one_error_line(self, tmp_path, caplog,
                                                          monkeypatch):
@@ -478,7 +505,7 @@ class TestExitCodes:
         path = tmp_path / "plane12.xyz"
         save_cloud(PointCloud(pts + 0.05 * rng.standard_normal(pts.shape)), str(path))
         code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz")])
-        assert code == EXIT_CONVERGENCE
+        assert code == AdmmDivergenceError.exit_code
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and "non-finite" in errors[0].getMessage()
 
@@ -491,7 +518,7 @@ class TestExitCodes:
         path = tmp_path / "c40.xyz"
         save_cloud(PointCloud(pts), str(path))
         code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz"), *flag])
-        assert code == EXIT_USAGE
+        assert code == ConfigError.exit_code
         assert [r.levelno for r in caplog.records] == [logging.ERROR]
         assert not (tmp_path / "o.xyz").exists()
 
@@ -505,7 +532,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         paths = ([str(plane_file), str(out)] if command == "noise"
                  else [str(tmp_path), "--output-dir", str(out)])
-        assert main(["-q", command, *paths, *flags]) == EXIT_USAGE
+        assert main(["-q", command, *paths, *flags]) == UsageError.exit_code
         assert [r.levelno for r in caplog.records] == [logging.ERROR]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plane.xyz"]
 
@@ -514,4 +541,4 @@ class TestExitCodes:
         cfg.write_text("gamma = -5\n")
         code = main(["-q", "denoise", str(plane_file), str(tmp_path / "o.xyz"),
                      "--config", str(cfg)])
-        assert code == EXIT_USAGE
+        assert code == ConfigError.exit_code

@@ -204,6 +204,23 @@ class TestPlyIO:
         with pytest.raises(CloudFormatError):
             load_cloud(str(path))
 
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "non-finite coordinate"),
+        ("five", "expected three decimal numbers, got '1 five 0'"),
+    ])
+    def test_bad_vertex_value_reports_its_line_as_xyz_does(self, tmp_path, value, message):
+        rows = f"0 0 0\n1 {value} 0\n"
+        ply = tmp_path / "bad.ply"
+        ply.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                       "property float y\nproperty float z\nend_header\n" + rows)
+        xyz = tmp_path / "bad.xyz"
+        xyz.write_text(rows)
+        for path, line in ((ply, 9), (xyz, 2)):
+            with pytest.raises(CloudFormatError) as err:
+                load_cloud(str(path))
+            assert err.value.line == line
+            assert str(err.value) == f"{path}: line {line}: {message}"
+
     @pytest.mark.parametrize("line", ["property", "property float"])
     def test_property_line_without_fields(self, tmp_path, line):
         path = tmp_path / "c.ply"

@@ -9,15 +9,9 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gtvdenoise.cli import (
-    EXIT_CONVERGENCE,
-    EXIT_DEGENERATE,
-    EXIT_OK,
-    EXIT_PARSE,
-    main,
-)
+from gtvdenoise.cli import EXIT_OK, main
 from gtvdenoise.cloud import PointCloud, load_cloud, save_cloud
-from gtvdenoise.errors import CloudFormatError, DegenerateCloudError
+from gtvdenoise.errors import AdmmDivergenceError, CloudFormatError, DegenerateCloudError
 
 FUZZ = settings(
     max_examples=40,
@@ -92,7 +86,7 @@ def test_undecodable_bytes_exit_as_parse_errors(tmp_path, data, fmt):
     path = tmp_path / f"f.{fmt}"
     path.write_bytes(data)
     code = main(["-q", "denoise", str(path), str(tmp_path / "o.xyz")])
-    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DEGENERATE)
+    assert code in (EXIT_OK, CloudFormatError.exit_code, DegenerateCloudError.exit_code)
 
 
 COORD = st.integers(-3, 3).map(float)
@@ -133,7 +127,7 @@ def test_denoise_on_degenerate_geometry_exits_with_a_documented_code(
     save_cloud(PointCloud(points), str(path))
     code = main(["-q", "denoise", str(path), str(out),
                  "--outer-max-iter", "2", "--admm-max-iter", "20"])
-    assert code in (EXIT_OK, EXIT_CONVERGENCE, EXIT_DEGENERATE)
+    assert code in (EXIT_OK, AdmmDivergenceError.exit_code, DegenerateCloudError.exit_code)
     if code == EXIT_OK:
         result = load_cloud(str(out))
         assert result.n == points.shape[0]

@@ -9,8 +9,6 @@ from gtvdenoise.graph import (
     WeightedGraph,
     build_knn_graph,
     edge_list_lines,
-    edge_weight,
-    knn_adjacency,
 )
 
 from reference import laplacian
@@ -79,30 +77,32 @@ class TestSpatialIndex:
 
 
 class TestEdgeWeight:
+    """The Gaussian kernel build_knn_graph puts on its edges."""
+
     def test_identical_points_weight_one(self):
-        assert edge_weight(np.zeros(3), np.zeros(3), 1.5) == 1.0
+        g = build_knn_graph(np.array([[0, 0, 0], [0, 0, 0], [5, 0, 0.0]]), k=1, sigma_p=1.5)
+        assert (g.ei[0], g.ej[0], g.w[0]) == (0, 1, 1.0)
 
     def test_known_value(self):
         # distance 1, sigma 1 -> exp(-1)
-        w = edge_weight(np.array([0, 0, 0.0]), np.array([1, 0, 0.0]), 1.0)
-        assert w == pytest.approx(np.exp(-1.0))
+        g = build_knn_graph(np.array([[0, 0, 0], [1, 0, 0.0]]), k=1, sigma_p=1.0)
+        assert g.w == pytest.approx([np.exp(-1.0)])
 
     def test_monotone_decreasing_in_distance(self):
-        p = np.zeros(3)
-        w1 = edge_weight(p, np.array([1.0, 0, 0]), 1.5)
-        w2 = edge_weight(p, np.array([2.0, 0, 0]), 1.5)
-        assert 0 < w2 < w1 <= 1
+        # edges (0, 1) of length 1 and (1, 2) of length 2
+        g = build_knn_graph(np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0.0]]), k=1, sigma_p=1.5)
+        np.testing.assert_array_equal(g.ej, [1, 2])
+        assert 0 < g.w[1] < g.w[0] <= 1
 
     def test_batched(self):
-        a = np.zeros((4, 3))
-        b = np.ones((4, 3))
-        w = edge_weight(a, b, 1.5)
-        assert w.shape == (4,)
-        assert np.allclose(w, np.exp(-3.0 / 2.25))
+        # a chain of diagonal steps: four edges of length sqrt(3)
+        g = build_knn_graph(np.outer(np.arange(5.0), np.ones(3)), k=1, sigma_p=1.5)
+        assert g.w.shape == (4,)
+        assert np.allclose(g.w, np.exp(-3.0 / 2.25))
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
-            edge_weight(np.zeros(3), np.ones(3), 0.0)
+            build_knn_graph(np.array([[0, 0, 0], [1, 1, 1.0]]), k=1, sigma_p=0.0)
 
 
 class TestWeightedGraph:
@@ -161,15 +161,6 @@ class TestBuildKnnGraph:
         pairs = set(zip(g.ei.tolist(), g.ej.tolist()))
         assert pairs == {(0, 1), (0, 2), (1, 2)}
 
-    def test_shares_the_knn_adjacency_pattern(self):
-        pts = np.random.default_rng(8).normal(size=(50, 3))
-        adj = knn_adjacency(pts, 5)
-        g = build_knn_graph(pts, k=5, sigma_p=1.5)
-        assert adj.has_sorted_indices
-        np.testing.assert_array_equal(adj.data, 1.0)
-        np.testing.assert_array_equal(adj.indptr, g.adjacency.indptr)
-        np.testing.assert_array_equal(adj.indices, g.adjacency.indices)
-
     def test_min_degree_k(self):
         rng = np.random.default_rng(2)
         g = build_knn_graph(rng.normal(size=(80, 3)), k=6, sigma_p=1.5)
@@ -179,7 +170,7 @@ class TestBuildKnnGraph:
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(30, 3))
         g = build_knn_graph(pts, k=4, sigma_p=1.5)
-        expect = edge_weight(pts[g.ei], pts[g.ej], 1.5)
+        expect = np.exp(-np.sum((pts[g.ei] - pts[g.ej]) ** 2, axis=1) / 1.5**2)
         np.testing.assert_allclose(g.w, expect)
 
     def test_coincident_cloud_rejected(self):
