@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -109,7 +110,7 @@ def _parse_triple(tokens: list[str], path: str, lineno: int) -> tuple[float, flo
         raise CloudFormatError(
             f"expected three decimal numbers, got {' '.join(tokens)!r}", path=path, line=lineno
         ) from None
-    if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(z)):
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise CloudFormatError("non-finite coordinate", path=path, line=lineno)
     return x, y, z
 

@@ -26,9 +26,15 @@ so a slow pass does not stall short of it. The stopping rule is on the
 primal residual; the scaled dual residual ||A^T D^T (m_k - m_{k-1})|| /
 ||A^T D^T u_k|| is recorded in the diagnostics only.
 
-An iteration makes two adjoint products, those of the dual residual: the
-first updates a running A^T D^T m, which with A^T D^T D b, formed once per
-pass, gives the next right-hand side without an adjoint of its own. CG
+An iteration makes one adjoint product, A^T D^T (m_k - m_{k-1}), the dual
+residual's numerator; it updates a running A^T D^T m, which with A^T D^T D b,
+formed once per pass, gives the next right-hand side. A^T D^T u_k needs no
+adjoint of its own: the p-step's true residual r = rhs - system p gives
+rho A^T D^T (z - m_{k-1} + u_{k-1}) = 2 (q - p) - r with z = D (A p + b), so
+
+    A^T D^T u_k = (2 (q - p) - r) / rho - A^T D^T (m_k - m_{k-1}),
+
+read off the current step's p and residual, not kept as a running sum. CG
 starts from the previous step's true residual moved to the new right-hand
 side, so only a pass's first step computes its start residual; every
 accepted step is still verified against a true residual (see p_update).
@@ -308,6 +314,7 @@ def admm_denoise_partite(
     g_m = op.adjoint(m)
     g_u = np.zeros_like(q)
     g_b = op.adjoint((op.D @ op.b).ravel())
+    q2 = 2.0 * q
     w3 = np.repeat(class_graph.w, 3)
     tau = (params.gamma / params.rho) * w3
     tiny = np.finfo(np.float64).tiny
@@ -318,7 +325,7 @@ def admm_denoise_partite(
     streak = 0
     for iteration in range(1, params.admm_max_iter + 1):
         cut = CG_REDUCTION_NEAR_TOL if iteration > 1 and residual < near_tol else CG_REDUCTION
-        rhs = 2.0 * q + op.rho * (g_m - (g_u + g_b))
+        rhs = q2 + op.rho * (g_m - (g_u + g_b))
         # the previous step's true residual, moved to the new right-hand side
         r0 = None if iteration == 1 else info.residual + (rhs - rhs_prev)
         p, info = p_update(op, rhs, p, r0, reduction=cut)
@@ -328,16 +335,20 @@ def admm_denoise_partite(
         m_prev = m
         m = soft_threshold(z + u, tau)
         _require_finite(m, f"{label}: non-finite m-step value at edge index")
-        u = u + (z - m)
+        gap = z - m
+        u = u + gap
         g_step = op.adjoint(m - m_prev)
         g_m += g_step
-        g_u = op.adjoint(u)
+        # The p-step left r = rhs - system p, that is
+        # rho A^T D^T (z - m_prev + u_prev) = 2 (q - p) - r, and u = u_prev + z - m
+        fit = q - p
+        g_u = (2.0 * fit - info.residual) / op.rho - g_step
 
-        residual = float(np.linalg.norm(z - m)) / max(float(np.linalg.norm(m)), 1.0)
+        residual = float(np.linalg.norm(gap)) / max(float(np.linalg.norm(m)), 1.0)
         # scaled dual residual (Boyd et al. 2011, section 3.3.1); recorded only
         dual = float(np.linalg.norm(g_step)) / max(float(np.linalg.norm(g_u)), tiny)
         gtv = float(w3 @ np.abs(z))
-        objective = float(np.sum((q - p) ** 2)) + params.gamma * gtv
+        objective = float(fit @ fit) + params.gamma * gtv
         if not np.isfinite(objective):
             raise AdmmDivergenceError(f"{label}: objective became non-finite")
         if collector is not None:

@@ -206,6 +206,9 @@ class TestPlyIO:
 
     @pytest.mark.parametrize("value, message", [
         ("nan", "non-finite coordinate"),
+        ("inf", "non-finite coordinate"),
+        ("-inf", "non-finite coordinate"),
+        ("1e999", "non-finite coordinate"),   # overflows to inf
         ("five", "expected three decimal numbers, got '1 five 0'"),
     ])
     def test_bad_vertex_value_reports_its_line_as_xyz_does(self, tmp_path, value, message):

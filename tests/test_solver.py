@@ -371,6 +371,28 @@ class TestDualResidual:
             assert row[6] == pytest.approx(expect, rel=1e-12)
             m_prev = m
 
+    @pytest.mark.parametrize("gamma", [0.2, 1.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_recorded_value_holds_over_long_passes(self, seed, gamma, monkeypatch):
+        # A^T D^T u_k is read off each p-step's residual, not summed, so the
+        # recorded value stays on the dense formula over hundreds of
+        # iterations; 8 of these 12 passes run past 150 (3 stop at iteration
+        # 2 on a primal residual at rounding level, as in the test below)
+        graph, _, q = random_instance(12, seed + 11)
+        A, b = random_linearizations(12, seed + 12)
+        B, v = dense_reference(graph, A, b)
+        params = DenoiseParams(gamma=gamma, admm_max_iter=300, admm_tol=1e-15)
+        diag = DiagnosticsReport()
+        _, p_steps, m_steps = record_admm_steps(monkeypatch, graph, A, b, q, params, diag)
+        assert len(diag.rows) == len(m_steps) >= 2
+        m_prev, u = B @ q + v, np.zeros(v.size)
+        for row, p, (_, _, m) in zip(diag.rows, p_steps, m_steps):
+            u = u + (B @ p + v - m)
+            expect = (np.linalg.norm(B.T @ (m - m_prev))
+                      / np.linalg.norm(B.T @ u))
+            assert row[6] == pytest.approx(expect, rel=1e-10)
+            m_prev = m
+
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_primal_residual_can_hide_a_large_dual_residual(self, seed,
                                                                  monkeypatch):
@@ -442,7 +464,7 @@ class TestCarriedState:
             z = B @ p + v
             p_prev, m, u = p, m_next, u + (z - m_next)
 
-    def test_two_adjoints_per_iteration_and_one_system_product_per_cg_iteration(
+    def test_one_adjoint_per_iteration_and_one_system_product_per_cg_iteration(
             self, monkeypatch):
         # Counts per p-step: one system product per CG iteration, plus the
         # true residual it is accepted on. A pass's first step also computes
@@ -487,13 +509,13 @@ class TestCarriedState:
             steps.clear()
             admm_denoise_partite(q, graph, A, b, params)
             # two adjoints build the first right-hand side (A^T D^T m and
-            # A^T D^T D b), two follow each iteration's m- and u-steps; none
-            # happens inside a p-step
+            # A^T D^T D b), one follows each iteration's m-step, and A^T D^T u
+            # is read off the p-step's residual; none happens inside a p-step
             assert [after["adjoint"] - before["adjoint"] for before, after, *_ in steps] \
                 == [0] * len(steps)
             assert [before["adjoint"] for before, *_ in steps] == \
-                [start["adjoint"] + 2 + 2 * k for k in range(len(steps))]
-            assert counts["adjoint"] == start["adjoint"] + 2 + 2 * len(steps)
+                [start["adjoint"] + 2 + k for k in range(len(steps))]
+            assert counts["adjoint"] == start["adjoint"] + 2 + len(steps)
             first = [fresh for _, _, fresh, _ in steps]
             assert first == [True] + [False] * (len(steps) - 1)
             assert steps[0][3].iterations == 0      # p-step 1 starts at its solution
